@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Var", "prelu", "clamp", "concat"]
+__all__ = ["Var", "prelu", "clamp"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -22,6 +22,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+# index kinds that select each element at most once
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis))
 
 
 class Var:
@@ -163,19 +167,18 @@ class Var:
 
     def __getitem__(self, idx):
         out = Var(self.data[idx], (self,))
+        parts = idx if isinstance(idx, tuple) else (idx,)
+        if all(isinstance(i, _BASIC_INDEX) for i in parts):
 
-        def bw(g):
-            buf = self._ensure_grad()
-            np.add.at(buf, idx, g)
+            def bw(g):
+                self._ensure_grad()[idx] += g
+
+        else:
+            # fancy indices may repeat an element; add.at accumulates repeats
+            def bw(g):
+                np.add.at(self._ensure_grad(), idx, g)
 
         out._backward = bw
-        return out
-
-    def pad(self, pad_width):
-        """Zero padding; `pad_width` as for np.pad."""
-        out = Var(np.pad(self.data, pad_width), (self,))
-        sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, self.data.shape))
-        out._backward = lambda g: self._ensure_grad().__iadd__(g[sl])
         return out
 
     # ---- reductions ------------------------------------------------------
@@ -245,19 +248,4 @@ def clamp(x: Var, lo: float, hi: float) -> Var:
     inside = (x.data > lo) & (x.data < hi)
     out = Var(np.clip(x.data, lo, hi), (x,))
     out._backward = lambda g: x._ensure_grad().__iadd__(g * inside)
-    return out
-
-
-def concat(vars_: list, axis: int = 0) -> Var:
-    out = Var(np.concatenate([v.data for v in vars_], axis=axis), tuple(vars_))
-    sizes = [v.data.shape[axis] for v in vars_]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for v, lo, hi in zip(vars_, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            v._ensure_grad()[...] += g[tuple(sl)]
-
-    out._backward = bw
     return out

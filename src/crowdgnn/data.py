@@ -6,6 +6,7 @@ intervals).
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,8 +87,12 @@ def parse_trajectory_file(path) -> list[RawTrack]:
                 frame_id = int(float(parts[0]))
                 ped_id = int(float(parts[1]))
                 x, y = float(parts[2]), float(parts[3])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TrajectoryParseError(
+                    f"{path}:{lineno}: non-finite coordinate ({parts[2]}, {parts[3]})"
+                )
             key = (frame_id, ped_id)
             if key in seen:
                 raise TrajectoryParseError(

@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Var, prelu
 from .gaussian import constrain
@@ -149,37 +150,69 @@ class ModelParameters:
 
 
 def _temporal_conv(x: Var, w: Var, b: Var) -> Var:
-    """1D conv over the leading time axis, symmetric zero padding.
+    """1D conv over the leading time axis, symmetric zero padding, one tape op.
 
     x: [T, N, C], w: [K, C, C], b: [C]; stride 1, same output length.
+    The K time-shifted copies of x form im2col columns [T*N, K*C], so the
+    forward is one matmul against w flattened to [K*C, C].
     """
-    k = w.shape[0]
+    k, c_in, c_out = w.shape
     pad = k // 2
-    t = x.shape[0]
-    xp = x.pad(((pad, pad), (0, 0), (0, 0)))
-    out = None
-    for j in range(k):
-        term = xp[j : j + t] @ w[j]
-        out = term if out is None else out + term
-    return out + b
+    t, n, _ = x.shape
+    xp = np.pad(x.data, ((pad, pad), (0, 0), (0, 0)))
+    # [T, N, C, K] -> rows (t, n), columns (k, c) in w's flattening order;
+    # an even K gives one window more than T, which [:t] drops
+    cols = sliding_window_view(xp, k, axis=0)[:t].transpose(0, 1, 3, 2)
+    cols = cols.reshape(t * n, k * c_in)
+    w2 = w.data.reshape(k * c_in, c_out)
+    out = Var((cols @ w2 + b.data).reshape(t, n, c_out), (x, w, b))
+
+    def bw(g):
+        g2 = g.reshape(t * n, c_out)
+        w._ensure_grad()[...] += (cols.T @ g2).reshape(w.shape)
+        b._ensure_grad()[...] += g2.sum(axis=0)
+        gcols = (g2 @ w2.T).reshape(t, n, k, c_in)
+        gxp = np.zeros_like(xp)
+        for j in range(k):
+            gxp[j : j + t] += gcols[:, :, j]
+        x._ensure_grad()[...] += gxp[pad : pad + t]
+
+    out._backward = bw
+    return out
 
 
 def _plane_conv(x: Var, w: Var, b: Var) -> Var:
-    """2D conv over the trailing (N, F) plane with time-as-channels.
+    """2D conv over the trailing (N, F) plane with time-as-channels, one tape op.
 
     x: [C_in, N, F], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
+    The k*k shifted copies of x form im2col columns [C_in*k*k, N*F]
+    (Chellapilla et al. 2006), so the forward is one matmul against w
+    flattened to [C_out, C_in*k*k].
     """
     c_out, c_in, k, _ = w.shape
     pad = k // 2
-    n, f = x.shape[1], x.shape[2]
-    xp = x.pad(((0, 0), (pad, pad), (pad, pad)))
-    out = None
-    for dn in range(k):
-        for df in range(k):
-            patch = xp[:, dn : dn + n, df : df + f].reshape(c_in, n * f)
-            term = w[:, :, dn, df] @ patch
-            out = term if out is None else out + term
-    return (out + b.reshape(c_out, 1)).reshape(c_out, n, f)
+    _, n, f = x.shape
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
+    # [C_in, N, F, k, k] -> rows (c, dn, df) in w's flattening order;
+    # an even k gives one window more than N and F, which [:n, :f] drops
+    cols = sliding_window_view(xp, (k, k), axis=(1, 2))[:, :n, :f]
+    cols = cols.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, n * f)
+    w2 = w.data.reshape(c_out, c_in * k * k)
+    out = Var((w2 @ cols + b.data[:, None]).reshape(c_out, n, f), (x, w, b))
+
+    def bw(g):
+        g2 = g.reshape(c_out, n * f)
+        w._ensure_grad()[...] += (g2 @ cols.T).reshape(w.shape)
+        b._ensure_grad()[...] += g2.sum(axis=1)
+        gcols = (w2.T @ g2).reshape(c_in, k, k, n, f)
+        gxp = np.zeros_like(xp)
+        for dn in range(k):
+            for df in range(k):
+                gxp[:, dn : dn + n, df : df + f] += gcols[:, dn, df]
+        x._ensure_grad()[...] += gxp[:, pad : pad + n, pad : pad + f]
+
+    out._backward = bw
+    return out
 
 
 def st_gcn_forward(v: Var, normalized: np.ndarray, params: ModelParameters) -> Var:

@@ -40,8 +40,13 @@ class TestParse:
         assert len(recs) == 2
         assert [r.frame_id for r in recs] == [0, 10]
 
-    def test_malformed_line_reports_lineno(self, tmp_path):
-        p = write(tmp_path, "0 1 0 0\n1 2 three 4\n")
+    @pytest.mark.parametrize(
+        "line",
+        ["1 2 three 4", "1 2 nan 4", "1 2 3 inf", "inf 2 3 4"],
+        ids=["three", "nan", "inf", "inf-frame"],
+    )
+    def test_malformed_line_reports_lineno(self, tmp_path, line):
+        p = write(tmp_path, f"0 1 0 0\n{line}\n")
         with pytest.raises(TrajectoryParseError, match=":2"):
             parse_trajectory_file(p)
 

@@ -6,6 +6,8 @@ from crowdgnn.graphs import GraphConfig
 from crowdgnn.model import (
     ModelConfig,
     ModelParameters,
+    _plane_conv,
+    _temporal_conv,
     forward_raw,
     st_gcn_forward,
     txp_forward,
@@ -73,6 +75,97 @@ def stgcn_oracle(v, normalized, p: ModelParameters):
                         acc += v[t, i, ci] * wr[ci, co]
                     out[t, i, co] += acc
     return out
+
+
+# ---- per-offset tape loops: oracle for the fused im2col convolutions --------
+
+
+def pad_oracle(x: Var, pad_width) -> Var:
+    """Zero padding as a tape op; `pad_width` as for np.pad."""
+    sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, x.shape))
+
+    def bw(g):
+        x._ensure_grad()[...] += g[sl]
+
+    return Var(np.pad(x.data, pad_width), (x,), bw)
+
+
+def temporal_conv_oracle(x: Var, w: Var, b: Var) -> Var:
+    """One shifted slice -> matmul -> add per kernel tap."""
+    k = w.shape[0]
+    pad = k // 2
+    t = x.shape[0]
+    xp = pad_oracle(x, ((pad, pad), (0, 0), (0, 0)))
+    out = None
+    for j in range(k):
+        term = xp[j : j + t] @ w[j]
+        out = term if out is None else out + term
+    return out + b
+
+
+def plane_conv_oracle(x: Var, w: Var, b: Var) -> Var:
+    """One shifted slice -> reshape -> matmul -> add per (dn, df) tap."""
+    c_out, c_in, k, _ = w.shape
+    pad = k // 2
+    n, f = x.shape[1], x.shape[2]
+    xp = pad_oracle(x, ((0, 0), (pad, pad), (pad, pad)))
+    out = None
+    for dn in range(k):
+        for df in range(k):
+            patch = xp[:, dn : dn + n, df : df + f].reshape(c_in, n * f)
+            term = w[:, :, dn, df] @ patch
+            out = term if out is None else out + term
+    return (out + b.reshape(c_out, 1)).reshape(c_out, n, f)
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    assert np.max(np.abs(got - want)) <= rel * scale
+
+
+CONV_CASES = {
+    # name: (fused, oracle, w shape, C_out); x is [8, N, 5], read as [T, N, C]
+    # by the temporal conv and as [C_in, N, F] by the plane conv
+    "temporal": (_temporal_conv, temporal_conv_oracle, (3, 5, 5), 5),
+    "plane": (_plane_conv, plane_conv_oracle, (12, 8, 3, 3), 12),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 200])  # N=1 is narrower than the kernel
+@pytest.mark.parametrize("kind", sorted(CONV_CASES))
+def test_fused_conv_matches_per_offset_oracle(rng, kind, n):
+    fused, oracle, w_shape, c_out = CONV_CASES[kind]
+    arrays = [rng.normal(size=(8, n, 5)), rng.normal(size=w_shape), rng.normal(size=c_out)]
+    upstream = None
+    results = []
+    for conv in (fused, oracle):
+        x, w, b = (Var(a.copy()) for a in arrays)
+        out = conv(x, w, b)
+        if upstream is None:
+            upstream = rng.normal(size=out.shape)
+        (out * upstream).sum().backward()
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert_rel_close(got, want)
+
+
+def test_forward_tape_size(rng, monkeypatch):
+    # one node per layer op: the convolutions are single im2col ops
+    created = 0
+    init = Var.__init__
+
+    def counting_init(var, *args, **kwargs):
+        nonlocal created
+        created += 1
+        init(var, *args, **kwargs)
+
+    w = random_window(rng, n_peds=4)
+    p = small_params()
+    monkeypatch.setattr(Var, "__init__", counting_init)
+    forward_raw(w, GraphConfig(), p)
+    assert 0 < created <= 30
 
 
 class TestStGcn:
