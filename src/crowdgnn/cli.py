@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import DatasetSplit, leave_one_out_split, load_scene_dir
-from .evaluate import evaluate
+from .evaluate import _sample_seed, evaluate, predict_gaussians, sample_trajectory
 from .graphs import (
     ApproachSense,
     GraphConfig,
@@ -28,12 +28,8 @@ from .graphs import (
     build_graph_sequence,
     social_stgcnn_baseline_config,
 )
-from .model import ModelConfig, ModelParameters, forward_raw
-from .gaussian import constrain, cholesky_factor
+from .model import ModelConfig, ModelParameters
 from .train import TrainConfig, train, write_history_csv
-
-GRAPH_CHOICES = [n.value for n in Neighborhood]
-KERNEL_CHOICES = [k.value for k in Kernel]
 
 
 class UsageError(Exception):
@@ -53,8 +49,8 @@ def _add_data_flags(p):
 
 
 def _add_graph_flags(p):
-    p.add_argument("--graph", choices=GRAPH_CHOICES, default="view")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES, default="inv")
+    p.add_argument("--graph", choices=[n.value for n in Neighborhood], default="view")
+    p.add_argument("--kernel", choices=[k.value for k in Kernel], default="inv")
     p.add_argument("--epsilon", type=float, default=5.0)
     p.add_argument(
         "--approach-sense",
@@ -69,6 +65,15 @@ def _add_graph_flags(p):
     )
 
 
+def _add_train_flags(p):
+    p.add_argument("--epochs", type=int, default=250)
+    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--lr-initial", type=float, default=0.01)
+    p.add_argument("--lr-after", type=float, default=0.002)
+    p.add_argument("--lr-switch-epoch", type=int, default=150)
+    p.add_argument("--clip-norm", type=float, default=None)
+
+
 def _graph_cfg(args) -> GraphConfig:
     return GraphConfig(
         neighborhood=args.graph,
@@ -80,44 +85,47 @@ def _graph_cfg(args) -> GraphConfig:
     )
 
 
-def _require_scene_dir(args) -> Path:
+def _train_cfg(args) -> TrainConfig:
+    return TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        lr_initial=args.lr_initial,
+        lr_after=args.lr_after,
+        lr_switch_epoch=min(args.lr_switch_epoch, args.epochs),
+        seed=args.seed,
+        clip_norm=args.clip_norm,
+    )
+
+
+def _load_split(args) -> tuple[dict, DatasetSplit]:
+    """(windows per scene, leave-one-out split) of the scene directory."""
     if not args.scene_dir:
         raise UsageError("--scene-dir (or CROWDGNN_DATA_DIR) is required")
-    d = Path(args.scene_dir)
-    if not d.is_dir():
-        raise UsageError(f"scene directory not found: {d}")
-    return d
-
-
-def _load_split(args) -> DatasetSplit:
-    scene_dir = _require_scene_dir(args)
+    scene_dir = Path(args.scene_dir)
+    if not scene_dir.is_dir():
+        raise UsageError(f"scene directory not found: {scene_dir}")
     scenes = load_scene_dir(
         scene_dir, t_obs=args.t_obs, t_pred=args.t_pred, stride=args.stride
     )
     if not scenes:
         raise UsageError("no scene files")
-    return leave_one_out_split(
+    return scenes, leave_one_out_split(
         scenes, args.held_out, val_fraction=args.val_fraction, seed=args.seed
     )
 
 
-def _echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig | None, dict]:
+    """(parameters, stored graph config or None, extra config) of a checkpoint."""
+    params, extra = ModelParameters.load(path)
+    stored = extra.get("graph_config")
+    return params, None if stored is None else GraphConfig(**stored), extra
 
 
 # ---- subcommands ------------------------------------------------------------
 
 
 def cmd_prep(args) -> int:
-    scene_dir = _require_scene_dir(args)
-    scenes = load_scene_dir(
-        scene_dir, t_obs=args.t_obs, t_pred=args.t_pred, stride=args.stride
-    )
-    if not scenes:
-        raise UsageError("no scene files")
-    split = leave_one_out_split(
-        scenes, args.held_out, val_fraction=args.val_fraction, seed=args.seed
-    )
+    scenes, split = _load_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, windows in [("train", split.train), ("val", split.val), ("test", split.test)]:
@@ -132,10 +140,11 @@ def cmd_prep(args) -> int:
             "val": len(split.val),
             "test": len(split.test),
         },
-        "config_echo": _echo(
-            args, ["scene_dir", "held_out", "t_obs", "t_pred", "stride",
-                   "val_fraction", "seed"]
-        ),
+        "config_echo": {
+            k: getattr(args, k)
+            for k in ["scene_dir", "held_out", "t_obs", "t_pred", "stride",
+                      "val_fraction", "seed"]
+        },
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -170,17 +179,9 @@ def cmd_dump_graph(args) -> int:
 
 
 def cmd_train(args) -> int:
-    split = _load_split(args)
+    _, split = _load_split(args)
     graph_cfg = _graph_cfg(args)
-    train_cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr_initial=args.lr_initial,
-        lr_after=args.lr_after,
-        lr_switch_epoch=min(args.lr_switch_epoch, args.epochs),
-        seed=args.seed,
-        clip_norm=args.clip_norm,
-    )
+    train_cfg = _train_cfg(args)
     model_cfg = ModelConfig(t_obs=args.t_obs, t_pred=args.t_pred)
 
     def log(rec):
@@ -189,16 +190,10 @@ def cmd_train(args) -> int:
             f"val_nll {rec.val_nll:+.4f}  lr {rec.lr:g}"
         )
 
-    params, history = train(
+    # train() writes the best state to args.out whenever it improves
+    _, history = train(
         split, graph_cfg, train_cfg, model_cfg, ckpt_path=args.out,
         log=log if not args.quiet else None,
-    )
-    params.save(
-        args.out,
-        extra_config={
-            "graph_config": graph_cfg.to_dict(),
-            "train_config": train_cfg.to_dict(),
-        },
     )
     if args.history:
         write_history_csv(args.history, history)
@@ -207,11 +202,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, extra = ModelParameters.load(args.ckpt)
-    graph_cfg = GraphConfig(**extra["graph_config"]) if "graph_config" in extra else _graph_cfg(args)
+    params, graph_cfg, extra = _load_checkpoint(args.ckpt)
+    if graph_cfg is None:
+        graph_cfg = _graph_cfg(args)
     args.t_obs = params.cfg.t_obs
     args.t_pred = params.cfg.t_pred
-    split = _load_split(args)
+    _, split = _load_split(args)
     report = evaluate(
         split.test,
         graph_cfg,
@@ -244,7 +240,7 @@ SWEEP_GRID = [
 
 
 def cmd_sweep(args) -> int:
-    split = _load_split(args)
+    _, split = _load_split(args)
     if args.subsample < 1.0:
         rng = np.random.default_rng(args.seed)
 
@@ -257,15 +253,7 @@ def cmd_sweep(args) -> int:
             train=sub(split.train), val=sub(split.val), test=sub(split.test),
             held_out_scene=split.held_out_scene,
         )
-    train_cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr_initial=args.lr_initial,
-        lr_after=args.lr_after,
-        lr_switch_epoch=min(args.lr_switch_epoch, args.epochs),
-        clip_norm=args.clip_norm,
-        seed=args.seed,
-    )
+    train_cfg = _train_cfg(args)
     model_cfg = ModelConfig(t_obs=args.t_obs, t_pred=args.t_pred)
     rows = []
     for name, nb, kernel in SWEEP_GRID:
@@ -293,8 +281,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    params, extra = ModelParameters.load(args.ckpt)
-    graph_cfg = GraphConfig(**extra["graph_config"])
+    params, graph_cfg, _ = _load_checkpoint(args.ckpt)
+    if graph_cfg is None:
+        raise UsageError(f"{args.ckpt}: checkpoint stores no graph config")
     windows = data_mod.load_windows(args.archive)
     matches = [w for w in windows if w.window_id == args.window_id]
     if not matches:
@@ -310,8 +299,6 @@ def cmd_export_plot(args) -> int:
                  w.positions[i, w.t_obs + t, 0], w.positions[i, w.t_obs + t, 1])
             )
     if args.samples > 0:
-        from .evaluate import predict_gaussians, sample_trajectory, _sample_seed
-
         g = predict_gaussians(w, graph_cfg, params)
         last_obs = w.positions[:, w.t_obs - 1]
         for s in range(args.samples):
@@ -357,12 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_graph_flags(p)
     p.add_argument("--held-out", required=True)
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--lr-initial", type=float, default=0.01)
-    p.add_argument("--lr-after", type=float, default=0.002)
-    p.add_argument("--lr-switch-epoch", type=int, default=150)
-    p.add_argument("--clip-norm", type=float, default=None)
+    _add_train_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", default=None, help="loss history CSV path")
@@ -383,12 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train/eval the neighborhood x kernel grid")
     _add_data_flags(p)
     p.add_argument("--held-out", required=True)
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--lr-initial", type=float, default=0.01)
-    p.add_argument("--lr-after", type=float, default=0.002)
-    p.add_argument("--lr-switch-epoch", type=int, default=150)
-    p.add_argument("--clip-norm", type=float, default=None)
+    _add_train_flags(p)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--subsample", type=float, default=1.0,
                    help="fraction of windows to keep in each split")
@@ -414,6 +391,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise UsageError("--config needs a JSON file path")
     path = argv[i + 1]
     with open(path) as fh:
         cfg = json.load(fh)
@@ -451,10 +430,8 @@ def main(argv=None) -> int:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, data_mod.TrajectoryParseError, KeyError, ValueError) as exc:
+    # TrajectoryParseError is a ValueError
+    except (UsageError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -7,8 +7,7 @@ intervals).
 from __future__ import annotations
 
 import math
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +43,8 @@ class TrajectoryWindow:
         return self.positions.shape[0]
 
     @property
-    def t_total(self) -> int:
-        return self.t_obs + self.t_pred
-
-    @property
     def window_id(self) -> str:
         return f"{self.scene_id}:{self.start_frame}"
-
-    def observed_positions(self) -> np.ndarray:
-        return self.positions[:, : self.t_obs]
 
     def future_positions(self) -> np.ndarray:
         return self.positions[:, self.t_obs :]
@@ -105,30 +97,14 @@ def parse_trajectory_file(path) -> list[RawTrack]:
     return tracks
 
 
-def write_trajectory_file(path, tracks: list[RawTrack]) -> None:
-    """Inverse of parse_trajectory_file; positions round-trip bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in tracks:
-            fh.write(f"{r.frame_id} {r.ped_id} {r.x!r} {r.y!r}\n")
-
-
-def compute_displacements(
-    positions: np.ndarray, forward_diff: bool = False
-) -> np.ndarray:
+def compute_displacements(positions: np.ndarray) -> np.ndarray:
     """Per-step walking direction features.
 
-    Default is the backward difference p_t - p_{t-1} (zero at the first
-    frame), which is computable at the last observed frame. With
-    `forward_diff`, frames with an observed successor use p_{t+1} - p_t
-    instead; the last frame falls back to the backward difference.
+    The backward difference p_t - p_{t-1} (zero at the first frame), which
+    is computable at the last observed frame.
     """
     disp = np.zeros_like(positions)
     disp[:, 1:] = positions[:, 1:] - positions[:, :-1]
-    if forward_diff:
-        fwd = np.zeros_like(positions)
-        fwd[:, :-1] = positions[:, 1:] - positions[:, :-1]
-        fwd[:, -1] = disp[:, -1]
-        return fwd
     return disp
 
 
@@ -138,7 +114,6 @@ def make_windows(
     t_pred: int,
     stride: int = 1,
     scene_id: str = "scene",
-    forward_diff: bool = False,
 ) -> list[TrajectoryWindow]:
     """Slide fixed-length windows over a scene.
 
@@ -151,7 +126,6 @@ def make_windows(
         return []
 
     frames = sorted({r.frame_id for r in tracks})
-    frame_index = {f: i for i, f in enumerate(frames)}
     by_frame: dict[int, dict[int, tuple[float, float]]] = {}
     for r in tracks:
         by_frame.setdefault(r.frame_id, {})[r.ped_id] = (r.x, r.y)
@@ -178,7 +152,7 @@ def make_windows(
                 scene_id=scene_id,
                 start_frame=span[0],
                 positions=pos,
-                displacements=compute_displacements(pos, forward_diff),
+                displacements=compute_displacements(pos),
                 t_obs=t_obs,
                 t_pred=t_pred,
             )
@@ -216,7 +190,6 @@ def load_scene_dir(
     t_obs: int = 8,
     t_pred: int = 12,
     stride: int = 1,
-    forward_diff: bool = False,
 ) -> dict[str, list[TrajectoryWindow]]:
     """Parse every `.txt` file in a directory into windows, keyed by stem."""
     scene_dir = Path(scene_dir)
@@ -224,16 +197,8 @@ def load_scene_dir(
     scenes = {}
     for f in files:
         tracks = parse_trajectory_file(f)
-        scenes[f.stem] = make_windows(
-            tracks, t_obs, t_pred, stride, scene_id=f.stem, forward_diff=forward_diff
-        )
+        scenes[f.stem] = make_windows(tracks, t_obs, t_pred, stride, scene_id=f.stem)
     return scenes
-
-
-def window_seed(base_seed: int, window_id: str, sample_idx: int = 0) -> int:
-    """Stable per-(window, sample) seed for order-independent parallel eval."""
-    h = zlib.crc32(window_id.encode("utf-8"))
-    return int(np.random.SeedSequence([base_seed, h, sample_idx]).entropy) % (2**31)
 
 
 # ---- window archives -------------------------------------------------------

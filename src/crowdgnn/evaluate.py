@@ -3,15 +3,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TrajectoryWindow
-from .gaussian import GaussianParams, cholesky_factor
+from .gaussian import GaussianParams, constrain, sample
 from .graphs import GraphConfig
 from .model import ModelParameters, forward_raw
-from .gaussian import constrain
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -85,10 +84,7 @@ def sample_trajectory(
     Samples a displacement per pedestrian per frame, then integrates from
     the last observed position by cumulative summation.
     """
-    chol = cholesky_factor(g.sigma, g.rho)
-    z = rng.standard_normal(g.mu.shape)
-    disp = g.mu + np.einsum("...ij,...j->...i", chol, z)
-    return last_observed[:, None, :] + np.cumsum(disp, axis=1)
+    return last_observed[:, None, :] + np.cumsum(sample(g, rng), axis=1)
 
 
 def _sample_seed(seed: int, window_id: str, sample_idx: int) -> np.random.Generator:

@@ -39,11 +39,6 @@ def constrain(raw: Var) -> tuple[Var, Var, Var]:
     return mu, sigma, rho
 
 
-def constrain_numpy(raw: np.ndarray) -> GaussianParams:
-    mu, sigma, rho = constrain(Var(raw))
-    return GaussianParams(mu=mu.data, sigma=sigma.data, rho=rho.data)
-
-
 def nll(target: np.ndarray, mu: Var, sigma: Var, rho: Var) -> Var:
     """Elementwise negative log-likelihood, shape [...] (nats per point)."""
     dx = Var(np.asarray(target)[..., 0]) - mu[..., 0]
@@ -59,11 +54,6 @@ def nll(target: np.ndarray, mu: Var, sigma: Var, rho: Var) -> Var:
         + 0.5 * one_minus_r2.log()
         + z / (2.0 * one_minus_r2)
     )
-
-
-def nll_numpy(target: np.ndarray, g: GaussianParams) -> np.ndarray:
-    out = nll(target, Var(g.mu), Var(g.sigma), Var(g.rho))
-    return out.data
 
 
 def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:

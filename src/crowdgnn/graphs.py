@@ -49,17 +49,14 @@ class GraphConfig:
     approach_sense: ApproachSense = ApproachSense.AS_PROSE
     self_loops: bool = False
     normalization: Normalization = Normalization.PAPER_LAPLACIAN
-    # experimental: require mutual relative bearing within +-90 deg of each
-    # heading instead of the heading dot product (not part of acceptance)
-    bearing_gate: bool = False
 
     def __post_init__(self):
         self.neighborhood = Neighborhood(self.neighborhood)
         self.kernel = Kernel(self.kernel)
         self.approach_sense = ApproachSense(self.approach_sense)
         self.normalization = Normalization(self.normalization)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:  # also rejects NaN
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +66,6 @@ class GraphConfig:
             "approach_sense": self.approach_sense.value,
             "self_loops": self.self_loops,
             "normalization": self.normalization.value,
-            "bearing_gate": self.bearing_gate,
         }
 
 
@@ -90,20 +86,6 @@ def social_stgcnn_baseline_config() -> GraphConfig:
     )
 
 
-def kernel_inverse_norm(p_i, p_j) -> float:
-    dx = p_i[0] - p_j[0]
-    dy = p_i[1] - p_j[1]
-    d = np.sqrt(dx * dx + dy * dy)
-    return 1.0 / d if d != 0.0 else 0.0
-
-
-def kernel_exp_decay(p_i, p_j) -> float:
-    dx = p_i[0] - p_j[0]
-    dy = p_i[1] - p_j[1]
-    d = np.sqrt(dx * dx + dy * dy)
-    return np.exp(-d) if d != 0.0 else 0.0
-
-
 def _approach_frames(t: int, t_obs: int) -> tuple[int, int]:
     """Frame pair (later, earlier) whose distances the approach gate compares.
 
@@ -115,62 +97,11 @@ def _approach_frames(t: int, t_obs: int) -> tuple[int, int]:
     return t, t - 1
 
 
-def neighborhood_weight(
-    i: int, j: int, t: int, window: TrajectoryWindow, cfg: GraphConfig
-) -> float:
-    """Edge weight for one ordered pair at one observed frame (scalar path)."""
-    if i == j:
-        raise ValueError("self pairs carry no edge weight")
-    pos = window.positions
-    p_i, p_j = pos[i, t], pos[j, t]
-    if cfg.kernel is Kernel.INVERSE_NORM:
-        k = kernel_inverse_norm(p_i, p_j)
-    else:
-        k = kernel_exp_decay(p_i, p_j)
-
-    nb = cfg.neighborhood
-    if nb is Neighborhood.COMPLETE:
-        return k
-
-    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
-        if cfg.bearing_gate:
-            v_i, v_j = window.displacements[i, t], window.displacements[j, t]
-            if not (
-                v_i[0] * (p_j[0] - p_i[0]) + v_i[1] * (p_j[1] - p_i[1]) > 0
-                and v_j[0] * (p_i[0] - p_j[0]) + v_j[1] * (p_i[1] - p_j[1]) > 0
-            ):
-                return 0.0
-        else:
-            v_i, v_j = window.displacements[i, t], window.displacements[j, t]
-            if not (v_i[0] * v_j[0] + v_i[1] * v_j[1] > 0):
-                return 0.0
-
-    if nb is Neighborhood.VIEW_THRESH:
-        dx, dy = p_i[0] - p_j[0], p_i[1] - p_j[1]
-        if not (np.sqrt(dx * dx + dy * dy) < cfg.epsilon):
-            return 0.0
-
-    if nb in (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH):
-        t_later, t_earlier = _approach_frames(t, window.t_obs)
-        d_later = np.sqrt(np.sum((pos[i, t_later] - pos[j, t_later]) ** 2))
-        d_earlier = np.sqrt(np.sum((pos[i, t_earlier] - pos[j, t_earlier]) ** 2))
-        if cfg.approach_sense is ApproachSense.AS_PROSE:
-            if not (d_later < d_earlier):
-                return 0.0
-        else:
-            if not (d_later > d_earlier):
-                return 0.0
-
-    return k
-
-
 def adjacency_at_frame(
     window: TrajectoryWindow, t: int, cfg: GraphConfig
 ) -> np.ndarray:
-    """Full [N, N] weighted adjacency at one observed frame (vectorized)."""
-    pos = window.positions[:, t]  # [N, 2]
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+    """Full [N, N] weighted adjacency at one observed frame."""
+    dist = _pairwise_dist(window.positions[:, t])
     nonzero = dist != 0.0
     if cfg.kernel is Kernel.INVERSE_NORM:
         with np.errstate(divide="ignore"):
@@ -178,19 +109,11 @@ def adjacency_at_frame(
     else:
         weights = np.where(nonzero, np.exp(-dist), 0.0)
 
-    n = pos.shape[0]
-    gate = ~np.eye(n, dtype=bool)
+    gate = ~np.eye(window.n_peds, dtype=bool)
     nb = cfg.neighborhood
     if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
         v = window.displacements[:, t]  # [N, 2]
-        if cfg.bearing_gate:
-            ahead = (
-                v[:, None, 0] * (pos[None, :, 0] - pos[:, None, 0])
-                + v[:, None, 1] * (pos[None, :, 1] - pos[:, None, 1])
-            ) > 0
-            gate &= ahead & ahead.T
-        else:
-            gate &= (v[:, None, 0] * v[None, :, 0] + v[:, None, 1] * v[None, :, 1]) > 0
+        gate &= (v[:, None, 0] * v[None, :, 0] + v[:, None, 1] * v[None, :, 1]) > 0
     if nb is Neighborhood.VIEW_THRESH:
         gate &= dist < cfg.epsilon
     if nb in (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH):

@@ -8,36 +8,81 @@ the (pedestrian, feature) plane, mapping T_obs frames to T_pred frames.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Var, prelu
-from .gaussian import constrain
 from .graphs import GraphConfig, build_graph_sequence
 
 CHECKPOINT_MAGIC = b"CGNN"
 CHECKPOINT_VERSION = 1
+
+# the fixed architecture (Social-STGCNN): one ST-GCN layer, then a residual
+# stack of TXP_LAYERS plane convs and a linear readout conv
+IN_FEATURES = 2
+GAUSSIAN_CHANNELS = 5
+STGCN_TEMPORAL_KERNEL = 3
+TXP_LAYERS = 5
+TXP_KERNEL = 3
+PRELU_INIT = 0.25
+
+# settings that earlier checkpoints store in their header; each must hold
+# the value the architecture now fixes
+FIXED_MODEL_SETTINGS = {
+    "in_features": IN_FEATURES,
+    "gaussian_channels": GAUSSIAN_CHANNELS,
+    "stgcn_temporal_kernel": STGCN_TEMPORAL_KERNEL,
+    "txp_layers": TXP_LAYERS,
+    "txp_kernel": TXP_KERNEL,
+    "stgcn_residual": True,
+    "stgcn_bias": True,
+    "txp_residual": True,
+    "prelu_init": PRELU_INIT,
+}
+FIXED_GRAPH_SETTINGS = {"bearing_gate": False}
 
 
 @dataclass
 class ModelConfig:
     t_obs: int = 8
     t_pred: int = 12
-    in_features: int = 2
-    gaussian_channels: int = 5
-    stgcn_temporal_kernel: int = 3
-    txp_layers: int = 5
-    txp_kernel: int = 3
-    stgcn_residual: bool = True
-    stgcn_bias: bool = True
-    txp_residual: bool = True
-    prelu_init: float = 0.25
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
+
+
+def _tensor_table(shapes) -> list[dict]:
+    """Checkpoint tensor table: name, shape and byte offset of each tensor."""
+    table, offset = [], 0
+    for name, shape in shapes:
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return table
+
+
+def _drop_fixed(path, section: str, stored: dict, fixed: dict, cls) -> dict:
+    """`stored` without the settings in `fixed`, which must hold their value.
+
+    Any key that is neither fixed nor a field of `cls` is rejected.
+    """
+    known = {f.name for f in fields(cls)}
+    kept = {}
+    for key, value in stored.items():
+        if key in known:
+            kept[key] = value
+        elif key not in fixed:
+            raise ValueError(f"{path}: unknown {section} key {key!r} = {value!r}")
+        elif value != fixed[key]:
+            raise ValueError(
+                f"{path}: {section} key {key!r} = {value!r}, but the "
+                f"architecture fixes it at {fixed[key]!r}"
+            )
+    return kept
 
 
 class ModelParameters:
@@ -47,31 +92,25 @@ class ModelParameters:
         self.cfg = cfg
         self.tensors: dict[str, Var] = {}
         rng = np.random.default_rng(seed)
-        c = cfg.gaussian_channels
-        self._add("stgcn.w_spatial", (cfg.in_features, c), rng, cfg.in_features)
-        self._add("stgcn.b_spatial", (c,), rng, cfg.in_features)
-        self._add(
-            "stgcn.w_temporal",
-            (cfg.stgcn_temporal_kernel, c, c),
-            rng,
-            cfg.stgcn_temporal_kernel * c,
-        )
-        self._add("stgcn.b_temporal", (c,), rng, cfg.stgcn_temporal_kernel * c)
-        if cfg.stgcn_residual:
-            self._add("stgcn.w_residual", (cfg.in_features, c), rng, cfg.in_features)
-            self._add("stgcn.b_residual", (c,), rng, cfg.in_features)
-        self.tensors["stgcn.prelu"] = Var(np.array(cfg.prelu_init))
+        c, kt = GAUSSIAN_CHANNELS, STGCN_TEMPORAL_KERNEL
+        self._add("stgcn.w_spatial", (IN_FEATURES, c), rng, IN_FEATURES)
+        self._add("stgcn.b_spatial", (c,), rng, IN_FEATURES)
+        self._add("stgcn.w_temporal", (kt, c, c), rng, kt * c)
+        self._add("stgcn.b_temporal", (c,), rng, kt * c)
+        self._add("stgcn.w_residual", (IN_FEATURES, c), rng, IN_FEATURES)
+        self._add("stgcn.b_residual", (c,), rng, IN_FEATURES)
+        self.tensors["stgcn.prelu"] = Var(np.array(PRELU_INIT))
 
-        k = cfg.txp_kernel
+        k = TXP_KERNEL
         fan1 = cfg.t_obs * k * k
         self._add("txp.0.w", (cfg.t_pred, cfg.t_obs, k, k), rng, fan1)
         self._add("txp.0.b", (cfg.t_pred,), rng, fan1)
-        self.tensors["txp.0.prelu"] = Var(np.array(cfg.prelu_init))
+        self.tensors["txp.0.prelu"] = Var(np.array(PRELU_INIT))
         fan = cfg.t_pred * k * k
-        for i in range(1, cfg.txp_layers):
+        for i in range(1, TXP_LAYERS):
             self._add(f"txp.{i}.w", (cfg.t_pred, cfg.t_pred, k, k), rng, fan)
             self._add(f"txp.{i}.b", (cfg.t_pred,), rng, fan)
-            self.tensors[f"txp.{i}.prelu"] = Var(np.array(cfg.prelu_init))
+            self.tensors[f"txp.{i}.prelu"] = Var(np.array(PRELU_INIT))
         # linear readout keeps the parameter budget near the reference size
         self._add("txp.out.w", (cfg.t_pred, cfg.t_pred, k, k), rng, fan)
         self._add("txp.out.b", (cfg.t_pred,), rng, fan)
@@ -82,9 +121,6 @@ class ModelParameters:
 
     def __getitem__(self, name: str) -> Var:
         return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
 
     def items(self):
         return self.tensors.items()
@@ -102,51 +138,70 @@ class ModelParameters:
     # tensor table with offsets), then little-endian float64 payload
 
     def save(self, path, extra_config: dict | None = None) -> None:
-        table = []
-        offset = 0
-        payload = bytearray()
-        for name, v in self.tensors.items():
-            table.append({"name": name, "shape": list(v.data.shape), "offset": offset})
-            raw = np.ascontiguousarray(v.data, dtype="<f8").tobytes()
-            payload.extend(raw)
-            offset += len(raw)
         header = {
             "format_version": CHECKPOINT_VERSION,
             "model_config": self.cfg.to_dict(),
             "extra_config": extra_config or {},
-            "tensors": table,
+            "tensors": _tensor_table(
+                (name, v.data.shape) for name, v in self.tensors.items()
+            ),
         }
         hbytes = json.dumps(header).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(hbytes)))
             fh.write(hbytes)
-            fh.write(bytes(payload))
+            for v in self.tensors.values():
+                fh.write(np.ascontiguousarray(v.data, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> tuple["ModelParameters", dict]:
+        """Parameters and extra config of a checkpoint, checked against the
+        fixed architecture; settings it fixes are dropped from the header."""
         with open(path, "rb") as fh:
             if fh.read(4) != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a checkpoint file")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+            try:
+                (hlen,) = struct.unpack("<I", fh.read(4))
+                header = json.loads(fh.read(hlen).decode("utf-8"))
+            except (struct.error, ValueError) as exc:  # JSON and UTF-8 errors
+                raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
             if header["format_version"] != CHECKPOINT_VERSION:
                 raise ValueError(
-                    f"unsupported checkpoint version {header['format_version']}"
+                    f"{path}: unsupported checkpoint version {header['format_version']}"
                 )
             payload = fh.read()
-        cfg = ModelConfig(**header["model_config"])
-        params = cls.__new__(cls)
-        params.cfg = cfg
-        params.tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(
-                payload, dtype="<f8", count=count, offset=entry["offset"]
-            ).reshape(shape)
-            params.tensors[entry["name"]] = Var(arr.copy())
-        return params, header["extra_config"]
+        cfg = ModelConfig(
+            **_drop_fixed(
+                path, "model_config", header["model_config"], FIXED_MODEL_SETTINGS,
+                ModelConfig,
+            )
+        )
+        extra = header["extra_config"]
+        if "graph_config" in extra:
+            extra["graph_config"] = _drop_fixed(
+                path, "graph_config", extra["graph_config"], FIXED_GRAPH_SETTINGS,
+                GraphConfig,
+            )
+        params = cls(cfg)
+        want = _tensor_table((name, v.data.shape) for name, v in params.items())
+        for got_entry, want_entry in zip_longest(header["tensors"], want):
+            if got_entry != want_entry:
+                raise ValueError(
+                    f"{path}: tensor table entry {got_entry} does not match "
+                    f"the model's {want_entry}"
+                )
+        size = 8 * sum(v.data.size for _, v in params.items())
+        if len(payload) != size:
+            raise ValueError(
+                f"{path}: payload holds {len(payload)} bytes, the tensor table "
+                f"needs {size}"
+            )
+        for entry, v in zip(want, params.tensors.values()):
+            v.data = np.frombuffer(
+                payload, dtype="<f8", count=v.data.size, offset=entry["offset"]
+            ).reshape(v.data.shape).copy()
+        return params, extra
 
 
 def _temporal_conv(x: Var, w: Var, b: Var) -> Var:
@@ -221,31 +276,26 @@ def st_gcn_forward(v: Var, normalized: np.ndarray, params: ModelParameters) -> V
         raise ValueError(
             f"shape mismatch: features {v.shape} vs graphs {normalized.shape}"
         )
-    cfg = params.cfg
-    x = v @ params["stgcn.w_spatial"]
-    if cfg.stgcn_bias:
-        x = x + params["stgcn.b_spatial"]
+    x = v @ params["stgcn.w_spatial"] + params["stgcn.b_spatial"]
     x = Var(normalized) @ x
     x = prelu(x, params["stgcn.prelu"])
     x = _temporal_conv(x, params["stgcn.w_temporal"], params["stgcn.b_temporal"])
-    if cfg.stgcn_residual:
-        res = v @ params["stgcn.w_residual"] + params["stgcn.b_residual"]
-        x = x + res
-    return x
+    res = v @ params["stgcn.w_residual"] + params["stgcn.b_residual"]
+    return x + res
 
 
 def txp_forward(h: Var, params: ModelParameters) -> Var:
     """h: [T_obs, N, C] -> [T_pred, N, C], time axis treated as channels."""
-    cfg = params.cfg
-    if h.shape[0] != cfg.t_obs:
-        raise ValueError(f"expected {cfg.t_obs} observed frames, got {h.shape[0]}")
+    t_obs = params.cfg.t_obs
+    if h.shape[0] != t_obs:
+        raise ValueError(f"expected {t_obs} observed frames, got {h.shape[0]}")
     x = prelu(_plane_conv(h, params["txp.0.w"], params["txp.0.b"]), params["txp.0.prelu"])
-    for i in range(1, cfg.txp_layers):
+    for i in range(1, TXP_LAYERS):
         y = prelu(
             _plane_conv(x, params[f"txp.{i}.w"], params[f"txp.{i}.b"]),
             params[f"txp.{i}.prelu"],
         )
-        x = y + x if cfg.txp_residual else y
+        x = y + x
     return _plane_conv(x, params["txp.out.w"], params["txp.out.b"])
 
 
@@ -256,7 +306,3 @@ def forward_raw(window, graph_cfg: GraphConfig, params: ModelParameters) -> Var:
     h = st_gcn_forward(v, seq.normalized, params)
     return txp_forward(h, params)
 
-
-def forward_gaussians(window, graph_cfg: GraphConfig, params: ModelParameters):
-    """Window -> constrained (mu, sigma, rho) Vars over [T_pred, N, ...]."""
-    return constrain(forward_raw(window, graph_cfg, params))

@@ -7,15 +7,14 @@ update at the scheduled learning rate.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DatasetSplit
-from .gaussian import nll
+from .gaussian import constrain, nll
 from .graphs import GraphConfig
 from .model import ModelConfig, ModelParameters, forward_raw
-from .gaussian import constrain
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,12 +30,14 @@ class TrainConfig:
     lr_switch_epoch: int = 150
     seed: int = 0
     clip_norm: float | None = None
-    momentum: float = 0.0
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.clip_norm is not None and not self.clip_norm > 0:  # NaN too
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if not (0 < self.lr_after <= self.lr_initial):
             raise ValueError("require 0 < lr_after <= lr_initial")
         if not (1 <= self.lr_switch_epoch <= self.epochs):
@@ -66,9 +67,8 @@ def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters):
     return nll(target, mu, sigma, rho).mean()
 
 
-def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig,
-             velocity: dict | None = None) -> None:
-    """p <- p - lr * g, with optional global-norm clipping and momentum."""
+def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig) -> None:
+    """p <- p - lr * g, with optional global-norm clipping."""
     grads = {
         name: (v.grad if v.grad is not None else np.zeros_like(v.data))
         for name, v in params.items()
@@ -79,13 +79,7 @@ def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig,
             scale = cfg.clip_norm / total
             grads = {name: g * scale for name, g in grads.items()}
     for name, v in params.items():
-        g = grads[name]
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * v.data
-        if cfg.momentum and velocity is not None:
-            velocity[name] = cfg.momentum * velocity.get(name, 0.0) + g
-            g = velocity[name]
-        v.data = v.data - lr * g
+        v.data = v.data - lr * grads[name]
 
 
 def evaluate_nll(windows, graph_cfg: GraphConfig, params: ModelParameters) -> float:
@@ -113,7 +107,6 @@ def train(
         raise ValueError("training split is empty")
     model_cfg = model_cfg or ModelConfig()
     params = ModelParameters(model_cfg, seed=cfg.seed)
-    velocity: dict = {}
     history: list[EpochRecord] = []
     best_nll = np.inf
     best_state = {name: v.data.copy() for name, v in params.items()}
@@ -145,11 +138,18 @@ def train(
                     )
                 batch_losses.append(val)
                 loss.backward()
-            sgd_step(params, lr, cfg, velocity)
+            sgd_step(params, lr, cfg)
             epoch_losses.extend(batch_losses)
 
         train_nll = float(np.mean(epoch_losses))
-        val_nll = evaluate_nll(split.val, graph_cfg, params)
+        try:
+            val_nll = evaluate_nll(split.val, graph_cfg, params)
+        except ValueError as exc:
+            raise TrainingDiverged(
+                f"non-finite validation loss at epoch {epoch}: {exc}"
+            ) from exc
+        if split.val and not np.isfinite(val_nll):
+            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append(EpochRecord(epoch, train_nll, val_nll, lr))
         select = val_nll if split.val else train_nll
         if select < best_nll:

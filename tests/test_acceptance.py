@@ -16,7 +16,7 @@ import pytest
 from crowdgnn.autodiff import Var
 from crowdgnn.data import DatasetSplit, TrajectoryWindow, compute_displacements
 from crowdgnn.evaluate import ade, best_of_k, fde
-from crowdgnn.gaussian import GaussianParams, constrain, nll, nll_numpy, sample
+from crowdgnn.gaussian import GaussianParams, nll, sample
 from crowdgnn.graphs import (
     ApproachSense,
     GraphConfig,
@@ -96,8 +96,8 @@ def test_criterion_3_nll_and_gradients(rng):
         sx, sy = rng.uniform(0.2, 3.0, 2)
         rho = rng.uniform(-0.95, 0.95)
         tx, ty = rng.normal(0, 3, 2)
-        g = GaussianParams(np.array([mux, muy]), np.array([sx, sy]), np.array(rho))
-        got = float(nll_numpy(np.array([tx, ty]), g))
+        mu, sigma = Var(np.array([mux, muy])), Var(np.array([sx, sy]))
+        got = float(nll(np.array([tx, ty]), mu, sigma, Var(np.array(rho))).data)
         want = mp_nll(tx, ty, mux, muy, sx, sy, rho)
         assert abs(got - want) / max(abs(want), 1e-12) < 1e-10
 

@@ -6,6 +6,7 @@ import pytest
 
 from crowdgnn.cli import main
 from crowdgnn.data import load_windows
+from test_model import add_earlier_settings, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,38 @@ class TestTrainEval:
             reports.append(json.loads(path.read_text()))
         assert reports[0]["aggregate"] == reports[1]["aggregate"]
 
+    def test_earlier_checkpoint_header(self, scene_dir, ckpt, tmp_path, capsys):
+        def eval_rc(path, report):
+            return main(
+                ["eval", "--ckpt", str(path), "--scene-dir", str(scene_dir),
+                 "--held-out", "eth", "--samples", "3", "--seed", "1",
+                 "--report", str(report)]
+            )
+
+        earlier = tmp_path / "earlier.ckpt"
+        earlier.write_bytes(ckpt.read_bytes())
+        rewrite_header(earlier, add_earlier_settings)
+        assert eval_rc(ckpt, tmp_path / "a.json") == 0
+        assert eval_rc(earlier, tmp_path / "b.json") == 0
+        a, b = (json.loads((tmp_path / n).read_text()) for n in ("a.json", "b.json"))
+        assert a["per_window"] == b["per_window"]
+
+        rewrite_header(earlier, lambda h: h["model_config"].update(txp_residual=False))
+        assert eval_rc(earlier, tmp_path / "c.json") == 2
+        assert "earlier.ckpt: model_config key 'txp_residual'" in capsys.readouterr().err
+
+    def test_invalid_train_config_exit_2(self, scene_dir, tmp_path, capsys):
+        for flag, value in (("--batch", "0"), ("--clip-norm", "-1")):
+            rc = main(
+                ["train", "--scene-dir", str(scene_dir), "--held-out", "eth",
+                 "--epochs", "1", "--lr-switch-epoch", "1", flag, value,
+                 "--out", str(tmp_path / "m.ckpt"), "--quiet"]
+            )
+            assert rc == 2
+        err = capsys.readouterr().err
+        assert "batch_size must be >= 1" in err
+        assert "clip_norm must be positive" in err
+
     def test_history_csv_written(self, scene_dir, tmp_path):
         out = tmp_path / "m.ckpt"
         hist = tmp_path / "hist.csv"
@@ -217,6 +250,12 @@ class TestConfigFile:
              "--held-out", "eth", "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+
+    def test_bare_config_flag_exit_2(self, capsys):
+        rc = main(["train", "--config"])
+        assert rc == 2
+        assert "--config needs a JSON file path" in capsys.readouterr().err
 
 
 def test_sweep_small(scene_dir, tmp_path):

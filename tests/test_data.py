@@ -12,7 +12,6 @@ from crowdgnn.data import (
     make_windows,
     parse_trajectory_file,
     save_windows,
-    write_trajectory_file,
 )
 from conftest import random_window
 
@@ -69,8 +68,8 @@ class TestParse:
             for f in range(5)
             for p in range(3)
         ]
-        path = tmp_path / "rt.txt"
-        write_trajectory_file(path, tracks)
+        lines = [f"{r.frame_id} {r.ped_id} {r.x!r} {r.y!r}\n" for r in tracks]
+        path = write(tmp_path, "".join(lines))
         back = parse_trajectory_file(path)
         assert back == tracks  # float equality: repr round-trips exactly
 
@@ -122,16 +121,6 @@ class TestWindows:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             make_windows([], 1, 12)
-
-    def test_forward_diff_flag(self):
-        tracks = linear_tracks(2, 20)
-        w_fwd = make_windows(tracks, 8, 12, forward_diff=True)[0]
-        w_bwd = make_windows(tracks, 8, 12)[0]
-        assert np.allclose(
-            w_fwd.displacements[:, :-1], w_fwd.positions[:, 1:] - w_fwd.positions[:, :-1]
-        )
-        # last frame falls back to backward difference
-        assert np.allclose(w_fwd.displacements[:, -1], w_bwd.displacements[:, -1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

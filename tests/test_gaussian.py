@@ -12,9 +12,7 @@ from crowdgnn.gaussian import (
     RHO_MAX,
     cholesky_factor,
     constrain,
-    constrain_numpy,
     nll,
-    nll_numpy,
     sample,
 )
 
@@ -39,20 +37,20 @@ def mp_nll(tx, ty, mux, muy, sx, sy, rho):
 
 class TestConstrain:
     def test_identity_raw(self):
-        g = constrain_numpy(np.zeros(5))
-        assert np.allclose(g.mu, [0, 0])
-        assert np.allclose(g.sigma, [1, 1])
-        assert g.rho == 0.0
+        mu, sigma, rho = constrain(Var(np.zeros(5)))
+        assert np.allclose(mu.data, [0, 0])
+        assert np.allclose(sigma.data, [1, 1])
+        assert rho.data == 0.0
 
     def test_sigma_exp(self):
-        g = constrain_numpy(np.array([0, 0, 1.0, 0, 0]))
-        assert g.sigma[0] == pytest.approx(math.e)
+        _, sigma, _ = constrain(Var(np.array([0, 0, 1.0, 0, 0])))
+        assert sigma.data[0] == pytest.approx(math.e)
 
     def test_rho_saturation_clamped(self):
         for raw4 in (20.0, -20.0):
-            g = constrain_numpy(np.array([0, 0, 0, 0, raw4]))
-            assert abs(g.rho) <= RHO_MAX
-            assert abs(g.rho) < 1.0
+            rho = constrain(Var(np.array([0, 0, 0, 0, raw4])))[2].data
+            assert abs(rho) <= RHO_MAX
+            assert abs(rho) < 1.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -61,23 +59,24 @@ class TestConstrain:
     @given(st.lists(st.floats(-30, 30), min_size=5, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_always_positive_definite(self, raw):
-        g = constrain_numpy(np.array(raw))
-        sx, sy = g.sigma
-        det = (sx * sy) ** 2 * (1 - g.rho**2)
-        assert sx > 0 and sy > 0 and abs(g.rho) < 1
+        _, sigma, rho = (v.data for v in constrain(Var(np.array(raw))))
+        sx, sy = sigma
+        det = (sx * sy) ** 2 * (1 - rho**2)
+        assert sx > 0 and sy > 0 and abs(rho) < 1
         assert det > 0
 
 
 class TestNll:
+    def unit(self):
+        return Var(np.zeros(2)), Var(np.ones(2)), Var(np.array(0.0))
+
     def test_at_mean_unit_isotropic(self):
-        g = GaussianParams(np.zeros(2), np.ones(2), np.array(0.0))
-        assert nll_numpy(np.zeros(2), g) == pytest.approx(math.log(2 * math.pi), abs=1e-12)
+        got = nll(np.zeros(2), *self.unit()).data
+        assert got == pytest.approx(math.log(2 * math.pi), abs=1e-12)
 
     def test_unit_offset(self):
-        g = GaussianParams(np.zeros(2), np.ones(2), np.array(0.0))
-        assert nll_numpy(np.array([1.0, 0.0]), g) == pytest.approx(
-            math.log(2 * math.pi) + 0.5, abs=1e-12
-        )
+        got = nll(np.array([1.0, 0.0]), *self.unit()).data
+        assert got == pytest.approx(math.log(2 * math.pi) + 0.5, abs=1e-12)
 
     def test_against_extended_precision_oracle(self, rng):
         for _ in range(1000):
@@ -85,10 +84,8 @@ class TestNll:
             sx, sy = rng.uniform(0.2, 3.0, 2)
             rho = rng.uniform(-0.95, 0.95)
             tx, ty = rng.normal(0, 3, 2)
-            g = GaussianParams(
-                np.array([mux, muy]), np.array([sx, sy]), np.array(rho)
-            )
-            got = float(nll_numpy(np.array([tx, ty]), g))
+            mu, sigma = Var(np.array([mux, muy])), Var(np.array([sx, sy]))
+            got = float(nll(np.array([tx, ty]), mu, sigma, Var(np.array(rho))).data)
             want = mp_nll(tx, ty, mux, muy, sx, sy, rho)
             assert abs(got - want) / max(abs(want), 1e-12) < 1e-10
 

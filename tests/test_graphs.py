@@ -15,9 +15,6 @@ from crowdgnn.graphs import (
     Normalization,
     adjacency_at_frame,
     build_graph_sequence,
-    kernel_exp_decay,
-    kernel_inverse_norm,
-    neighborhood_weight,
     social_stgcnn_baseline_config,
 )
 from conftest import random_window
@@ -80,16 +77,27 @@ ALL_NEIGHBORHOODS = [
 ]
 
 
+def kernel_weight(kernel, p, q):
+    """Complete-graph edge weight between pedestrians standing at p and q."""
+    pos = np.zeros((2, 20, 2))
+    pos[0], pos[1] = p, q
+    w = TrajectoryWindow("pair", 0, pos, compute_displacements(pos), 8, 12)
+    cfg = GraphConfig(neighborhood=Neighborhood.COMPLETE, kernel=kernel)
+    return adjacency_at_frame(w, 0, cfg)[0, 1]
+
+
 class TestKernels:
     def test_inverse_norm_values(self):
-        assert kernel_inverse_norm((0, 0), (0, 2)) == 0.5
-        assert kernel_inverse_norm((0, 0), (3, 4)) == pytest.approx(0.2)
-        assert kernel_inverse_norm((1, 1), (1, 1)) == 0.0
+        inv = Kernel.INVERSE_NORM
+        assert kernel_weight(inv, (0, 0), (0, 2)) == 0.5
+        assert kernel_weight(inv, (0, 0), (3, 4)) == pytest.approx(0.2)
+        assert kernel_weight(inv, (1, 1), (1, 1)) == 0.0
 
     def test_exp_decay_values(self):
-        assert kernel_exp_decay((0, 0), (0, 1)) == pytest.approx(math.exp(-1))
-        assert kernel_exp_decay((0, 0), (5, 0)) == pytest.approx(math.exp(-5))
-        assert kernel_exp_decay((2, 2), (2, 2)) == 0.0
+        exp = Kernel.EXP_DECAY
+        assert kernel_weight(exp, (0, 0), (0, 1)) == pytest.approx(math.exp(-1))
+        assert kernel_weight(exp, (0, 0), (5, 0)) == pytest.approx(math.exp(-5))
+        assert kernel_weight(exp, (2, 2), (2, 2)) == 0.0
 
     @given(
         st.floats(-50, 50), st.floats(-50, 50),
@@ -102,14 +110,14 @@ class TestKernels:
         dx, dy = dist * math.cos(angle), dist * math.sin(angle)
         q = (x1 + dx, y1 + dy)
         far = (x1 + scale * dx, y1 + scale * dy)
-        for kern in (kernel_inverse_norm, kernel_exp_decay):
-            near_w = kern(p, q)
+        for kern in Kernel:
+            near_w = kernel_weight(kern, p, q)
             assert near_w > 0
-            assert kern(p, far) < near_w
+            assert kernel_weight(kern, p, far) < near_w
 
     def test_coincident_points_zero(self):
-        assert kernel_inverse_norm((3.0, -1.0), (3.0, -1.0)) == 0.0
-        assert kernel_exp_decay((3.0, -1.0), (3.0, -1.0)) == 0.0
+        for kern in Kernel:
+            assert kernel_weight(kern, (3.0, -1.0), (3.0, -1.0)) == 0.0
 
 
 class TestGates:
@@ -126,14 +134,14 @@ class TestGates:
     def test_opposite_directions_view_zero(self):
         w = self.two_ped_window((0.4, 0.0), (-0.4, 0.0))
         cfg = GraphConfig(neighborhood=Neighborhood.VIEW)
-        assert neighborhood_weight(0, 1, 3, w, cfg) == 0.0
+        assert adjacency_at_frame(w, 3, cfg)[0, 1] == 0.0
 
     def test_distance_threshold(self):
         w = self.two_ped_window((0.4, 0.0), (0.4, 0.0), offset=(6.0, 0.0))
         thresh = GraphConfig(neighborhood=Neighborhood.VIEW_THRESH, epsilon=5.0)
         view = GraphConfig(neighborhood=Neighborhood.VIEW)
-        assert neighborhood_weight(0, 1, 3, w, thresh) == 0.0
-        assert neighborhood_weight(0, 1, 3, w, view) > 0.0
+        assert adjacency_at_frame(w, 3, thresh)[0, 1] == 0.0
+        assert adjacency_at_frame(w, 3, view)[0, 1] > 0.0
 
     def test_approach_sense_variants(self):
         # head-on: distance strictly decreasing over observed frames
@@ -144,8 +152,8 @@ class TestGates:
         printed = GraphConfig(
             neighborhood=Neighborhood.APPROACH, approach_sense=ApproachSense.AS_PRINTED
         )
-        assert neighborhood_weight(0, 1, 3, w, prose) > 0.0
-        assert neighborhood_weight(0, 1, 3, w, printed) == 0.0
+        assert adjacency_at_frame(w, 3, prose)[0, 1] > 0.0
+        assert adjacency_at_frame(w, 3, printed)[0, 1] == 0.0
 
     def test_last_observed_frame_uses_backward_change(self):
         w = self.two_ped_window((0.2, 0.0), (-0.2, 0.0), offset=(10.0, 0.0))
@@ -153,7 +161,7 @@ class TestGates:
             neighborhood=Neighborhood.APPROACH, approach_sense=ApproachSense.AS_PROSE
         )
         # approaching throughout, so the gate holds at the final observed frame too
-        assert neighborhood_weight(0, 1, w.t_obs - 1, w, cfg) > 0.0
+        assert adjacency_at_frame(w, w.t_obs - 1, cfg)[0, 1] > 0.0
 
     def test_matrix_matches_oracle_exactly(self, rng):
         for trial in range(10):
@@ -168,16 +176,6 @@ class TestGates:
                             got = adjacency_at_frame(w, t, cfg)
                             want = oracle_adjacency(w, t, cfg)
                             assert np.array_equal(got, want), (nb, kern, sense, t)
-
-    def test_scalar_path_matches_matrix(self, rng):
-        w = random_window(rng, n_peds=4)
-        for nb in ALL_NEIGHBORHOODS:
-            cfg = GraphConfig(neighborhood=nb)
-            a = adjacency_at_frame(w, 2, cfg)
-            for i in range(4):
-                for j in range(4):
-                    if i != j:
-                        assert a[i, j] == neighborhood_weight(i, j, 2, w, cfg)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -278,5 +276,6 @@ class TestLaplacian:
         assert np.allclose(seq.normalized[t], want, atol=1e-12)
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GraphConfig(epsilon=0.0)
+        for epsilon in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="epsilon"):
+                GraphConfig(epsilon=epsilon)

@@ -1,9 +1,18 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from crowdgnn.autodiff import Var
 from crowdgnn.graphs import GraphConfig
 from crowdgnn.model import (
+    CHECKPOINT_MAGIC,
+    GAUSSIAN_CHANNELS,
+    IN_FEATURES,
+    STGCN_TEMPORAL_KERNEL,
+    TXP_KERNEL,
+    TXP_LAYERS,
     ModelConfig,
     ModelParameters,
     _plane_conv,
@@ -16,12 +25,12 @@ from crowdgnn.train import window_nll
 from conftest import random_window
 
 
-def small_params(**kw):
-    return ModelParameters(ModelConfig(**kw), seed=0)
+def small_params():
+    return ModelParameters(ModelConfig(), seed=0)
 
 
-def zero_params(cfg: ModelConfig) -> ModelParameters:
-    p = ModelParameters(cfg, seed=0)
+def zero_params() -> ModelParameters:
+    p = small_params()
     for name, v in p.items():
         v.data = np.zeros_like(v.data)
     return p
@@ -31,9 +40,8 @@ def zero_params(cfg: ModelConfig) -> ModelParameters:
 
 
 def stgcn_oracle(v, normalized, p: ModelParameters):
-    cfg = p.cfg
     t_obs, n, c_in = v.shape
-    c = cfg.gaussian_channels
+    c = GAUSSIAN_CHANNELS
     ws = p["stgcn.w_spatial"].data
     bs = p["stgcn.b_spatial"].data
     slope = float(p["stgcn.prelu"].data)
@@ -43,7 +51,7 @@ def stgcn_oracle(v, normalized, p: ModelParameters):
             for co in range(c):
                 acc = 0.0
                 for j in range(n):
-                    inner = bs[co] if cfg.stgcn_bias else 0.0
+                    inner = bs[co]
                     for ci in range(c_in):
                         inner += v[t, j, ci] * ws[ci, co]
                     acc += normalized[t, i, j] * inner
@@ -64,16 +72,15 @@ def stgcn_oracle(v, normalized, p: ModelParameters):
                         for ci in range(c):
                             acc += act[src, i, ci] * wt[dk, ci, co]
                 out[t, i, co] = acc
-    if cfg.stgcn_residual:
-        wr = p["stgcn.w_residual"].data
-        br = p["stgcn.b_residual"].data
-        for t in range(t_obs):
-            for i in range(n):
-                for co in range(c):
-                    acc = br[co]
-                    for ci in range(c_in):
-                        acc += v[t, i, ci] * wr[ci, co]
-                    out[t, i, co] += acc
+    wr = p["stgcn.w_residual"].data
+    br = p["stgcn.b_residual"].data
+    for t in range(t_obs):
+        for i in range(n):
+            for co in range(c):
+                acc = br[co]
+                for ci in range(c_in):
+                    acc += v[t, i, ci] * wr[ci, co]
+                out[t, i, co] += acc
     return out
 
 
@@ -170,22 +177,20 @@ def test_forward_tape_size(rng, monkeypatch):
 
 class TestStGcn:
     def test_identity_passthrough_single_node(self):
-        cfg = ModelConfig(
-            in_features=5, gaussian_channels=5, stgcn_residual=False, stgcn_bias=False
-        )
-        p = zero_params(cfg)
-        p["stgcn.w_spatial"].data = np.eye(5)
-        p["stgcn.w_temporal"].data[1] = np.eye(5)  # center tap only
+        p = zero_params()  # residual weights and all biases zero
+        p["stgcn.w_spatial"].data = np.eye(IN_FEATURES, GAUSSIAN_CHANNELS)
+        p["stgcn.w_temporal"].data[1] = np.eye(GAUSSIAN_CHANNELS)  # center tap only
         p["stgcn.prelu"].data = np.array(1.0)
-        v = np.random.default_rng(0).normal(size=(8, 1, 5))
+        v = np.random.default_rng(0).normal(size=(8, 1, IN_FEATURES))
         normalized = np.ones((8, 1, 1))  # self-loop identity normalization
         out = st_gcn_forward(Var(v), normalized, p)
-        assert np.allclose(out.data, v, atol=1e-12)
+        assert np.allclose(out.data[..., :IN_FEATURES], v, atol=1e-12)
+        assert np.all(out.data[..., IN_FEATURES:] == 0.0)
 
     def test_zero_mixing_annihilates(self, rng):
-        cfg = ModelConfig(stgcn_residual=False, stgcn_bias=False)
-        p = small_params(stgcn_residual=False, stgcn_bias=False)
-        p["stgcn.b_temporal"].data = np.zeros(5)
+        p = small_params()
+        for name in ("stgcn.b_temporal", "stgcn.w_residual", "stgcn.b_residual"):
+            p[name].data = np.zeros_like(p[name].data)
         v = rng.normal(size=(8, 3, 2))
         out = st_gcn_forward(Var(v), np.zeros((8, 3, 3)), p)
         assert np.allclose(out.data, 0.0)
@@ -219,8 +224,7 @@ class TestStGcn:
 
 class TestTxp:
     def test_zero_input_zero_biases(self):
-        cfg = ModelConfig()
-        p = zero_params(cfg)
+        p = zero_params()
         out = txp_forward(Var(np.zeros((8, 3, 5))), p)
         assert out.shape == (12, 3, 5)
         assert np.allclose(out.data, 0.0)
@@ -240,26 +244,18 @@ class TestTxp:
         with pytest.raises(ValueError):
             txp_forward(Var(rng.normal(size=(9, 3, 5))), p)
 
-    def test_residual_flag(self, rng):
-        h = rng.normal(size=(8, 3, 5))
-        p_res = ModelParameters(ModelConfig(txp_residual=True), seed=1)
-        p_plain = ModelParameters(ModelConfig(txp_residual=False), seed=1)
-        a = txp_forward(Var(h), p_res).data
-        b = txp_forward(Var(h), p_plain).data
-        assert not np.allclose(a, b)
-
 
 class TestSummary:
     def test_counts_from_shape_arithmetic(self):
         cfg = ModelConfig()
         p = ModelParameters(cfg, seed=0)
-        c, k = cfg.gaussian_channels, cfg.txp_kernel
+        c, k = GAUSSIAN_CHANNELS, TXP_KERNEL
         expect = {
-            "stgcn.w_spatial": cfg.in_features * c,
+            "stgcn.w_spatial": IN_FEATURES * c,
             "stgcn.b_spatial": c,
-            "stgcn.w_temporal": cfg.stgcn_temporal_kernel * c * c,
+            "stgcn.w_temporal": STGCN_TEMPORAL_KERNEL * c * c,
             "stgcn.b_temporal": c,
-            "stgcn.w_residual": cfg.in_features * c,
+            "stgcn.w_residual": IN_FEATURES * c,
             "stgcn.b_residual": c,
             "stgcn.prelu": 1,
             "txp.0.w": cfg.t_pred * cfg.t_obs * k * k,
@@ -268,7 +264,7 @@ class TestSummary:
             "txp.out.w": cfg.t_pred * cfg.t_pred * k * k,
             "txp.out.b": cfg.t_pred,
         }
-        for i in range(1, cfg.txp_layers):
+        for i in range(1, TXP_LAYERS):
             expect[f"txp.{i}.w"] = cfg.t_pred * cfg.t_pred * k * k
             expect[f"txp.{i}.b"] = cfg.t_pred
             expect[f"txp.{i}.prelu"] = 1
@@ -341,3 +337,83 @@ class TestCheckpoint:
         a = forward_raw(w, GraphConfig(), p).data
         b = forward_raw(w, GraphConfig(), back).data
         assert np.array_equal(a, b)
+
+    def test_truncated_file_names_path(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_params().save(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="m.ckpt: payload holds"):
+            ModelParameters.load(path)
+
+    def test_truncated_header_names_path(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_params().save(path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ValueError, match="m.ckpt: unreadable checkpoint header"):
+            ModelParameters.load(path)
+
+    def test_dropped_tensor_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_params().save(path)
+        rewrite_header(path, lambda h: h["tensors"].pop())
+        with pytest.raises(ValueError, match="m.ckpt: tensor table entry None"):
+            ModelParameters.load(path)
+
+    def test_earlier_header_with_fixed_settings_loads(self, tmp_path, rng):
+        path = tmp_path / "m.ckpt"
+        p = small_params()
+        p.save(path, extra_config={"graph_config": GraphConfig().to_dict()})
+        rewrite_header(path, add_earlier_settings)
+        back, extra = ModelParameters.load(path)
+        assert back.cfg == ModelConfig()
+        assert extra["graph_config"] == GraphConfig().to_dict()
+        w = random_window(rng)
+        a = forward_raw(w, GraphConfig(), p).data
+        assert np.array_equal(forward_raw(w, GraphConfig(), back).data, a)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "txp_residual", False), ("model", "txp_layers", 4),
+         ("model", "dropout", 0.1), ("graph", "bearing_gate", True)],
+    )
+    def test_other_settings_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "m.ckpt"
+        small_params().save(path, extra_config={"graph_config": GraphConfig().to_dict()})
+
+        def mutate(h):
+            add_earlier_settings(h)
+            if section == "model":
+                h["model_config"][key] = value
+            else:
+                h["extra_config"]["graph_config"][key] = value
+
+        rewrite_header(path, mutate)
+        with pytest.raises(ValueError, match=f"m.ckpt: .*{key!r} = {value!r}"):
+            ModelParameters.load(path)
+
+
+# every model_config key a checkpoint carried before the architecture was fixed
+EARLIER_MODEL_CONFIG = {
+    "t_obs": 8, "t_pred": 12, "in_features": 2, "gaussian_channels": 5,
+    "stgcn_temporal_kernel": 3, "txp_layers": 5, "txp_kernel": 3,
+    "stgcn_residual": True, "stgcn_bias": True, "txp_residual": True,
+    "prelu_init": 0.25,
+}
+
+
+def add_earlier_settings(header):
+    header["model_config"] = dict(EARLIER_MODEL_CONFIG)
+    graph = header["extra_config"].get("graph_config")
+    if graph is not None:
+        graph["bearing_gate"] = False
+
+
+def rewrite_header(path, mutate):
+    """Apply `mutate` to a checkpoint's JSON header in place."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    mutate(header)
+    hbytes = json.dumps(header).encode("utf-8")
+    prefix = CHECKPOINT_MAGIC + struct.pack("<I", len(hbytes))
+    path.write_bytes(prefix + hbytes + raw[8 + hlen :])

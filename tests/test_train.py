@@ -40,6 +40,12 @@ class TestSchedule:
             TrainConfig(lr_initial=0.001, lr_after=0.01)
         with pytest.raises(ValueError):
             TrainConfig(epochs=10, lr_switch_epoch=20)
+        for batch_size in (0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                TrainConfig(batch_size=batch_size)
+        for clip_norm in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="clip_norm"):
+                TrainConfig(clip_norm=clip_norm)
 
 
 class TestSgdStep:
@@ -101,6 +107,18 @@ class TestTrainLoop:
         )
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(split, GraphConfig(), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("scale", [1e150, np.inf])
+    def test_nonfinite_val_loss_aborts(self, rng, tmp_path, scale):
+        split = tiny_split(rng, n_train=2, n_val=2)
+        bad = split.val[1]
+        bad.positions = bad.positions * scale
+        bad.displacements = bad.displacements * scale
+        cfg = TrainConfig(epochs=2, batch_size=2, lr_switch_epoch=1, seed=0)
+        with pytest.raises(TrainingDiverged, match="validation loss at epoch 1"):
+            train(split, GraphConfig(), cfg, ckpt_path=tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_single_window_overfit(self):
         w = crossing_window()
