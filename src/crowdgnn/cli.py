@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import DatasetSplit, leave_one_out_split, load_scene_dir
-from .evaluate import _sample_seed, evaluate, predict_gaussians, sample_trajectory
+from .evaluate import evaluate, predict_gaussians, sample_generators, sample_trajectory
 from .graphs import (
     ApproachSense,
     GraphConfig,
@@ -300,10 +300,11 @@ def cmd_export_plot(args) -> int:
             )
     if args.samples > 0:
         g = predict_gaussians(w, graph_cfg, params)
-        last_obs = w.positions[:, w.t_obs - 1]
-        for s in range(args.samples):
-            rng = _sample_seed(args.seed, w.window_id, s)
-            pred = sample_trajectory(g, last_obs, rng)
+        preds = sample_trajectory(
+            g, w.positions[:, w.t_obs - 1],
+            sample_generators(args.seed, w.window_id, args.samples),
+        )
+        for s, pred in enumerate(preds):
             for i in range(w.n_peds):
                 for t in range(w.t_pred):
                     rows.append((i, w.t_obs + t, "sample", s, pred[i, t, 0], pred[i, t, 1]))
@@ -319,12 +320,28 @@ def cmd_export_plot(args) -> int:
 # ---- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _FlagParser(argparse.ArgumentParser):
+    """An ArgumentParser that records the flags added to it."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: set[str] = set()  # the base __init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags.update(action.option_strings)
+        return action
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="crowdgnn", description="Pedestrian trajectory prediction toolkit"
     )
     parser.add_argument("--config", help="JSON file of flag defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_FlagParser
+    )
 
     p = sub.add_parser("prep", help="parse scenes, window, split, and archive")
     _add_data_flags(p)
@@ -383,11 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_plot)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Use a JSON config file as flag defaults; command-line flags override."""
+def _apply_config_file(commands: dict[str, _FlagParser], argv: list[str]) -> list[str]:
+    """Use a JSON config file as flag defaults; command-line flags override.
+
+    One file can serve several subcommands: each takes the keys that are
+    its flags and skips the rest. A key that no subcommand has is an error.
+    """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -395,39 +416,41 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         raise UsageError("--config needs a JSON file path")
     path = argv[i + 1]
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     rest = argv[:i] + argv[i + 2 :]
-    known = set()
-    for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        for a in action._actions:
-            known.update(s.lstrip("-").replace("-", "_") for s in a.option_strings)
-    extra = []
+    known = set().union(*(p.flags for p in commands.values()))
+    flags = {}
     for key, value in cfg.items():
-        norm = key.replace("-", "_")
-        if norm not in known:
+        flag = "--" + key.replace("_", "-")
+        if flag not in known:
             raise UsageError(f"{path}: unknown config key {key!r}")
-        flag = "--" + norm.replace("_", "-")
-        if flag in rest:
+        flags[flag] = value
+    # the subcommand is the first token that is not a flag
+    j = next((j for j, tok in enumerate(rest) if not tok.startswith("-")), None)
+    if j is None or rest[j] not in commands:
+        return rest  # argparse reports the missing or unknown subcommand
+    extra = []
+    for flag, value in flags.items():
+        if flag not in commands[rest[j]].flags or flag in rest:
             continue
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
         else:
             extra.extend([flag, str(value)])
-    # insert after the subcommand token
-    for j, tok in enumerate(rest):
-        if not tok.startswith("-"):
-            return rest[: j + 1] + extra + rest[j + 1 :]
-    return rest + extra
+    return rest[: j + 1] + extra + rest[j + 1 :]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     # TrajectoryParseError is a ValueError

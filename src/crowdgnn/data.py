@@ -217,6 +217,22 @@ def save_windows(path, windows: list[TrajectoryWindow]) -> None:
     np.savez(path, **arrays)
 
 
+def _window_fault(w: TrajectoryWindow) -> str | None:
+    """What makes an archived window unusable, or None."""
+    if w.t_obs < 2 or w.t_pred < 1:
+        return f"need t_obs >= 2 and t_pred >= 1, got {w.t_obs} and {w.t_pred}"
+    n = w.n_peds if w.positions.ndim == 3 else 0
+    want = (n, w.t_obs + w.t_pred, 2)
+    for name, a in (("positions", w.positions), ("displacements", w.displacements)):
+        if n < 2 or a.shape != want:
+            return f"{name} of shape {a.shape}, want [N >= 2, {want[1]}, 2]"
+        if a.dtype.kind not in "fiu":
+            return f"{name} of dtype {a.dtype}, want numbers"
+        if not np.all(np.isfinite(a)):
+            return f"non-finite {name}"
+    return None
+
+
 def load_windows(path) -> list[TrajectoryWindow]:
     with np.load(path, allow_pickle=False) as z:
         version = int(z["format_version"])
@@ -225,14 +241,16 @@ def load_windows(path) -> list[TrajectoryWindow]:
         out = []
         for i in range(int(z["n_windows"])):
             start_frame, t_obs, t_pred = (int(v) for v in z[f"w{i}_meta"])
-            out.append(
-                TrajectoryWindow(
-                    scene_id=str(z[f"w{i}_scene"]),
-                    start_frame=start_frame,
-                    positions=z[f"w{i}_positions"],
-                    displacements=z[f"w{i}_disp"],
-                    t_obs=t_obs,
-                    t_pred=t_pred,
-                )
+            w = TrajectoryWindow(
+                scene_id=str(z[f"w{i}_scene"]),
+                start_frame=start_frame,
+                positions=z[f"w{i}_positions"],
+                displacements=z[f"w{i}_disp"],
+                t_obs=t_obs,
+                t_pred=t_pred,
             )
+            fault = _window_fault(w)
+            if fault is not None:
+                raise ValueError(f"{path}: window {i}: {fault}")
+            out.append(w)
     return out

@@ -77,19 +77,22 @@ def predict_gaussians(
 
 
 def sample_trajectory(
-    g: GaussianParams, last_observed: np.ndarray, rng: np.random.Generator
+    g: GaussianParams, last_observed: np.ndarray, rngs
 ) -> np.ndarray:
-    """One absolute-position trajectory sample [N, T_pred, 2].
+    """One absolute-position trajectory sample per generator [k, N, T_pred, 2].
 
     Samples a displacement per pedestrian per frame, then integrates from
     the last observed position by cumulative summation.
     """
-    return last_observed[:, None, :] + np.cumsum(sample(g, rng), axis=1)
+    return last_observed[:, None, :] + np.cumsum(sample(g, rngs), axis=2)
 
 
-def _sample_seed(seed: int, window_id: str, sample_idx: int) -> np.random.Generator:
+def sample_generators(seed: int, window_id: str, k: int) -> list[np.random.Generator]:
+    """The k sample generators of one window, independent of the others."""
     h = zlib.crc32(window_id.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([seed, h, sample_idx]))
+    return [
+        np.random.default_rng(np.random.SeedSequence([seed, h, s])) for s in range(k)
+    ]
 
 
 def best_of_k(
@@ -110,12 +113,9 @@ def best_of_k(
     g = predict_gaussians(window, graph_cfg, params)
     truth = window.future_positions()
     last_obs = window.positions[:, window.t_obs - 1]
-    ades, fdes = [], []
-    for s in range(k):
-        rng = _sample_seed(seed, window.window_id, s)
-        pred = sample_trajectory(g, last_obs, rng)
-        ades.append(ade(pred, truth))
-        fdes.append(fde(pred, truth))
+    preds = sample_trajectory(g, last_obs, sample_generators(seed, window.window_id, k))
+    ades = [ade(pred, truth) for pred in preds]
+    fdes = [fde(pred, truth) for pred in preds]
     if independent_min:
         return min(ades), min(fdes)
     best = int(np.argmin(ades))

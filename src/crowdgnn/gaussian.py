@@ -65,8 +65,19 @@ def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.stack([row0, row1], axis=-2)
 
 
-def sample(g: GaussianParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one point per Gaussian: mu + Chol(Sigma) z, z ~ N(0, I)."""
+def sample(g: GaussianParams, rngs) -> np.ndarray:
+    """Draw one point per Gaussian from each generator: mu + Chol(Sigma) z.
+
+    z ~ N(0, I) of shape mu.shape is drawn from each generator in turn;
+    the result is [len(rngs), *mu.shape].
+    """
     chol = cholesky_factor(g.sigma, g.rho)
-    z = rng.standard_normal(g.mu.shape)
-    return g.mu + np.einsum("...ij,...j->...i", chol, z)
+    z = np.stack([rng.standard_normal(g.mu.shape) for rng in rngs])
+    z0, z1 = z[..., 0], z[..., 1]
+    return g.mu + np.stack(
+        [
+            chol[..., 0, 0] * z0 + chol[..., 0, 1] * z1,
+            chol[..., 1, 0] * z0 + chol[..., 1, 1] * z1,
+        ],
+        axis=-1,
+    )

@@ -86,77 +86,70 @@ def social_stgcnn_baseline_config() -> GraphConfig:
     )
 
 
-def _approach_frames(t: int, t_obs: int) -> tuple[int, int]:
-    """Frame pair (later, earlier) whose distances the approach gate compares.
-
-    The last observed frame has no observable successor, so it falls back
-    to the change from the previous frame.
-    """
-    if t + 1 <= t_obs - 1:
-        return t + 1, t
-    return t, t - 1
-
-
-def adjacency_at_frame(
-    window: TrajectoryWindow, t: int, cfg: GraphConfig
-) -> np.ndarray:
-    """Full [N, N] weighted adjacency at one observed frame."""
-    dist = _pairwise_dist(window.positions[:, t])
-    nonzero = dist != 0.0
-    if cfg.kernel is Kernel.INVERSE_NORM:
-        with np.errstate(divide="ignore"):
-            weights = np.where(nonzero, 1.0 / dist, 0.0)
-    else:
-        weights = np.where(nonzero, np.exp(-dist), 0.0)
-
-    gate = ~np.eye(window.n_peds, dtype=bool)
-    nb = cfg.neighborhood
-    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
-        v = window.displacements[:, t]  # [N, 2]
-        gate &= (v[:, None, 0] * v[None, :, 0] + v[:, None, 1] * v[None, :, 1]) > 0
-    if nb is Neighborhood.VIEW_THRESH:
-        gate &= dist < cfg.epsilon
-    if nb in (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH):
-        t_later, t_earlier = _approach_frames(t, window.t_obs)
-        d_later = _pairwise_dist(window.positions[:, t_later])
-        d_earlier = _pairwise_dist(window.positions[:, t_earlier])
-        if cfg.approach_sense is ApproachSense.AS_PROSE:
-            gate &= d_later < d_earlier
-        else:
-            gate &= d_later > d_earlier
-
-    return np.where(gate, weights, 0.0)
-
-
 def _pairwise_dist(pos: np.ndarray) -> np.ndarray:
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
-
-
-def normalize_adjacency(adjacency: np.ndarray, cfg: GraphConfig):
-    """Degree vector and normalized mixing matrix for one frame."""
-    degree = adjacency.sum(axis=1)
-    # zero-degree guard: isolated nodes keep their (zero or self-loop) row
-    safe = np.where(degree > 0, degree, 1.0)
-    d_inv_sqrt = 1.0 / np.sqrt(safe)
-    if cfg.normalization is Normalization.PAPER_LAPLACIAN:
-        lap = np.diag(degree) - adjacency
-        normalized = d_inv_sqrt[:, None] * lap * d_inv_sqrt[None, :]
-    else:
-        normalized = d_inv_sqrt[:, None] * adjacency * d_inv_sqrt[None, :]
-    return degree, normalized
+    """Euclidean distances [..., N, N] between C-contiguous points [..., N, 2]."""
+    x, y = pos[..., 0], pos[..., 1]
+    dist = x[..., :, None] - x[..., None, :]
+    dist *= dist
+    dy = y[..., :, None] - y[..., None, :]
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
 def build_graph_sequence(window: TrajectoryWindow, cfg: GraphConfig) -> GraphSequence:
+    """Adjacency, degree and normalized matrices of every observed frame.
+
+    One pass over all frames; the [T_obs, N, N] buffers are updated in
+    place so that a large crowd holds few of them at once.
+    """
     n, t_obs = window.n_peds, window.t_obs
-    adjacency = np.empty((t_obs, n, n))
-    degree = np.empty((t_obs, n))
-    normalized = np.empty((t_obs, n, n))
-    eye = np.eye(n)
-    for t in range(t_obs):
-        a = adjacency_at_frame(window, t, cfg)
-        if cfg.self_loops:
-            a = a + eye
-        adjacency[t] = a
-        degree[t], normalized[t] = normalize_adjacency(a, cfg)
+    # a C-contiguous [T_obs, N, 2] copy keeps every later buffer C-ordered,
+    # so each degree row sum adds in the same order as one frame summed alone
+    dist = _pairwise_dist(
+        np.ascontiguousarray(window.positions[:, :t_obs].transpose(1, 0, 2))
+    )
+    # the diagonal distance is exactly 0, so this drops self-edges and
+    # coincident pedestrians, whose kernel weight is undefined
+    gate = dist != 0.0
+    nb = cfg.neighborhood
+    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
+        v = window.displacements[:, :t_obs].transpose(1, 0, 2)  # [T_obs, N, 2]
+        dot = v[..., :, None, 0] * v[..., None, :, 0]
+        dot += v[..., :, None, 1] * v[..., None, :, 1]
+        gate &= dot > 0
+        del dot
+    if nb is Neighborhood.VIEW_THRESH:
+        gate &= dist < cfg.epsilon
+    if nb in (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH):
+        # distance change to the next frame; the last observed frame has no
+        # observable successor, so it reuses the change from its predecessor
+        if cfg.approach_sense is ApproachSense.AS_PROSE:
+            change = dist[1:] < dist[:-1]
+        else:
+            change = dist[1:] > dist[:-1]
+        gate[:-1] &= change
+        gate[-1] &= change[-1]
+
+    if cfg.kernel is Kernel.INVERSE_NORM:
+        with np.errstate(divide="ignore"):
+            adjacency = np.divide(1.0, dist, out=dist)
+    else:
+        adjacency = np.exp(np.negative(dist, out=dist), out=dist)
+    np.copyto(adjacency, 0.0, where=~gate)
+    diag = (slice(None), np.arange(n), np.arange(n))
+    if cfg.self_loops:
+        adjacency[diag] += 1.0
+
+    degree = adjacency.sum(axis=2)
+    # zero-degree guard: isolated nodes keep their (zero or self-loop) row
+    d_inv_sqrt = 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0))
+    if cfg.normalization is Normalization.PAPER_LAPLACIAN:
+        # D - A: subtracting from +0.0 keeps the off-diagonal zeros +0.0
+        normalized = np.subtract(0.0, adjacency)
+        normalized[diag] += degree
+    else:
+        normalized = adjacency.copy()
+    normalized *= d_inv_sqrt[..., :, None]
+    normalized *= d_inv_sqrt[..., None, :]
     return GraphSequence(adjacency=adjacency, degree=degree, normalized=normalized)

@@ -22,7 +22,6 @@ from crowdgnn.graphs import (
     GraphConfig,
     Kernel,
     Neighborhood,
-    adjacency_at_frame,
     build_graph_sequence,
 )
 from crowdgnn.model import ModelConfig, ModelParameters, forward_raw
@@ -60,7 +59,7 @@ def test_criterion_1_graph_oracle_equivalence(rng):
             for kern in Kernel:
                 for sense in ApproachSense:
                     cfg = GraphConfig(neighborhood=nb, kernel=kern, approach_sense=sense)
-                    got = adjacency_at_frame(w, t, cfg)
+                    got = build_graph_sequence(w, cfg).adjacency[t]
                     want = oracle_adjacency(w, t, cfg)
                     assert np.array_equal(got, want), (scene, nb, kern, sense)
     elapsed = time.perf_counter() - start
@@ -142,7 +141,7 @@ def test_criterion_4_sampler_statistics():
     g = GaussianParams(
         np.tile(mu, (n, 1)), np.tile(sigma, (n, 1)), np.full(n, rho)
     )
-    draws = sample(g, np.random.default_rng(2024))
+    draws = sample(g, [np.random.default_rng(2024)])[0]
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 0.02)
     emp_sigma = draws.std(axis=0, ddof=1)
     assert np.all(np.abs(emp_sigma / sigma - 1.0) < 0.02)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from crowdgnn.cli import main
-from crowdgnn.data import load_windows
+from crowdgnn.data import load_windows, save_windows
+from conftest import random_window
+from test_data import _faulty
 from test_model import add_earlier_settings, rewrite_header
 
 
@@ -110,6 +112,18 @@ class TestDumpGraph:
              "--window-id", "nope:999", "--out", str(tmp_path / "g")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("fault", ["t_obs=1", "nan-position"])
+    def test_faulty_archive_exit_2(self, tmp_path, rng, fault, capsys):
+        archive = tmp_path / "bad.npz"
+        save_windows(archive, [_faulty(random_window(rng), fault)])
+        rc = main(
+            ["dump-graph", "--archive", str(archive), "--graph", "approach",
+             "--out", str(tmp_path / "g")]
+        )
+        assert rc == 2
+        assert f"{archive}: window 0: " in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 class TestTrainEval:
@@ -227,6 +241,17 @@ class TestExportPlot:
         )
         assert rc == 2
 
+    def test_faulty_archive_exit_2(self, ckpt, tmp_path, rng, capsys):
+        archive = tmp_path / "bad.npz"
+        w = _faulty(random_window(rng), "t_pred-past-arrays")
+        save_windows(archive, [w])
+        rc = main(
+            ["export-plot", "--ckpt", str(ckpt), "--archive", str(archive),
+             "--window-id", w.window_id, "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 2
+        assert f"{archive}: window 0: " in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, scene_dir, tmp_path):
@@ -251,6 +276,36 @@ class TestConfigFile:
         )
         assert rc == 2
 
+    def test_one_file_serves_prep_and_train(self, scene_dir, tmp_path):
+        # "epochs" and "lr-switch-epoch" are train flags; prep skips them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"epochs": 1, "lr-switch-epoch": 1, "held-out": "zara01",
+             "scene-dir": str(scene_dir)}
+        ))
+        out = tmp_path / "prep"
+        assert main(["prep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["held_out"] == "zara01"
+        hist = tmp_path / "hist.csv"
+        rc = main(
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
+             "--history", str(hist), "--quiet"]
+        )
+        assert rc == 0
+        assert len(list(csv.reader(hist.open()))) == 2  # header + 1 epoch
+
+    def test_malformed_json_names_file(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 3\n')
+        rc = main(
+            ["prep", "--config", str(cfg), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert "Expecting ',' delimiter" in err
 
     def test_bare_config_flag_exit_2(self, capsys):
         rc = main(["train", "--config"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from crowdgnn.data import (
     RawTrack,
     TrajectoryParseError,
+    TrajectoryWindow,
     compute_displacements,
     leave_one_out_split,
     load_windows,
@@ -171,3 +172,54 @@ def test_archive_roundtrip(tmp_path, rng):
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.displacements, b.displacements)
         assert (a.t_obs, a.t_pred) == (b.t_obs, b.t_pred)
+
+
+
+# archive fault -> what the error message says
+ARCHIVE_FAULTS = {
+    "t_obs=1": "need t_obs >= 2",
+    "t_pred=0": "need t_obs >= 2 and t_pred >= 1",
+    "nan-position": "non-finite positions",
+    "inf-displacement": "non-finite displacements",
+    "t_pred-past-arrays": "positions of shape",
+    "truncated-displacements": "displacements of shape",
+    "one-pedestrian": "N >= 2",
+    "2-d-positions": "positions of shape",
+    "text-displacements": "displacements of dtype",
+}
+
+
+def _faulty(w, fault):
+    """`w` with one archive fault."""
+    pos, disp = w.positions.copy(), w.displacements.copy()
+    t_obs, t_pred = w.t_obs, w.t_pred
+    if fault == "t_obs=1":
+        t_obs, t_pred = 1, t_obs + t_pred - 1
+    elif fault == "t_pred=0":
+        t_obs, t_pred = t_obs + t_pred, 0
+    elif fault == "nan-position":
+        pos[0, 3, 1] = np.nan
+    elif fault == "inf-displacement":
+        disp[1, 5, 0] = np.inf
+    elif fault == "t_pred-past-arrays":
+        t_pred = 30
+    elif fault == "truncated-displacements":
+        disp = disp[:, :-1]
+    elif fault == "one-pedestrian":
+        pos, disp = pos[:1], disp[:1]
+    elif fault == "2-d-positions":
+        pos = pos[..., 0]
+    elif fault == "text-displacements":
+        disp = disp.astype(str)
+    return TrajectoryWindow(w.scene_id, 9, pos, disp, t_obs, t_pred)
+
+
+@pytest.mark.parametrize("fault", sorted(ARCHIVE_FAULTS))
+def test_archive_fault_names_archive_and_window(tmp_path, rng, fault):
+    good = random_window(rng, n_peds=3)
+    path = tmp_path / "w.npz"
+    save_windows(path, [good, _faulty(random_window(rng, n_peds=3), fault)])
+    with pytest.raises(ValueError, match="window 1: ") as info:
+        load_windows(path)
+    assert str(path) in str(info.value)
+    assert ARCHIVE_FAULTS[fault] in str(info.value)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from crowdgnn.evaluate import (
     evaluate,
     fde,
     predict_gaussians,
+    sample_generators,
     sample_trajectory,
 )
-from crowdgnn.gaussian import GaussianParams
+from crowdgnn.gaussian import GaussianParams, cholesky_factor
 from crowdgnn.graphs import GraphConfig
 from crowdgnn.model import ModelConfig, ModelParameters
 from conftest import random_window
@@ -58,6 +61,28 @@ class TestAdeFde:
             fde(rng.normal(size=(2, 12, 2)), rng.normal(size=(2, 11, 2)))
 
 
+def best_of_k_oracle(window, cfg, params, k, seed, independent_min):
+    """Per-sample loop: a generator, a Cholesky factor, an einsum and a
+    cumsum per sample."""
+    g = predict_gaussians(window, cfg, params)
+    truth = window.future_positions()
+    last_obs = window.positions[:, window.t_obs - 1]
+    h = zlib.crc32(window.window_id.encode("utf-8"))
+    ades, fdes = [], []
+    for s in range(k):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, h, s]))
+        chol = cholesky_factor(g.sigma, g.rho)
+        z = rng.standard_normal(g.mu.shape)
+        step = g.mu + np.einsum("...ij,...j->...i", chol, z)
+        pred = last_obs[:, None, :] + np.cumsum(step, axis=1)
+        ades.append(ade(pred, truth))
+        fdes.append(fde(pred, truth))
+    if independent_min:
+        return min(ades), min(fdes)
+    best = int(np.argmin(ades))
+    return ades[best], fdes[best]
+
+
 class TestBestOfK:
     def setup_method(self):
         self.params = ModelParameters(ModelConfig(), seed=0)
@@ -67,13 +92,20 @@ class TestBestOfK:
         w = random_window(rng)
         a1, f1 = best_of_k(w, self.cfg, self.params, k=1, seed=9)
         g = predict_gaussians(w, self.cfg, self.params)
-        from crowdgnn.evaluate import _sample_seed
-
-        pred = sample_trajectory(
-            g, w.positions[:, w.t_obs - 1], _sample_seed(9, w.window_id, 0)
+        (pred,) = sample_trajectory(
+            g, w.positions[:, w.t_obs - 1], sample_generators(9, w.window_id, 1)
         )
         assert a1 == ade(pred, w.future_positions())
         assert f1 == fde(pred, w.future_positions())
+
+    @pytest.mark.parametrize("n_peds", [2, 5, 60])
+    def test_bitwise_equal_to_per_sample_oracle(self, rng, n_peds):
+        for seed in range(3):
+            w = random_window(rng, n_peds=n_peds, scene_id=f"s{seed}")
+            for k in (1, 7, 20):
+                for independent_min in (False, True):
+                    args = (w, self.cfg, self.params, k, seed, independent_min)
+                    assert best_of_k(*args) == best_of_k_oracle(*args)
 
     def test_k_must_be_positive(self, rng):
         with pytest.raises(ValueError):
@@ -98,9 +130,9 @@ class TestBestOfK:
         last = w.positions[:, w.t_obs - 1]
         mean_pred = last[:, None, :] + np.cumsum(g.mu, axis=1)
         want_ade = ade(mean_pred, w.future_positions())
-        preds = [
-            sample_trajectory(g, last, np.random.default_rng(s)) for s in range(5)
-        ]
+        preds = sample_trajectory(
+            g, last, [np.random.default_rng(s) for s in range(5)]
+        )
         for p in preds:
             assert ade(p, w.future_positions()) == pytest.approx(want_ade, abs=1e-9)
 

@@ -125,14 +125,25 @@ class TestSample:
         g = GaussianParams(
             np.array([2.0, -1.0]), np.array([1e-9, 1e-9]), np.array(0.0)
         )
-        s = sample(g, np.random.default_rng(0))
+        s = sample(g, [np.random.default_rng(0)])[0]
         assert np.allclose(s, g.mu, atol=1e-6)
 
     def test_deterministic_given_seed(self):
         g = GaussianParams(np.zeros(2), np.array([1.0, 2.0]), np.array(0.5))
-        a = sample(g, np.random.default_rng(42))
-        b = sample(g, np.random.default_rng(42))
+        a = sample(g, [np.random.default_rng(42)])[0]
+        b = sample(g, [np.random.default_rng(42)])[0]
         assert np.array_equal(a, b)
+
+    def test_one_draw_per_generator_in_order(self, rng):
+        g = GaussianParams(
+            rng.normal(size=(3, 4, 2)),
+            rng.uniform(0.5, 2.0, size=(3, 4, 2)),
+            rng.uniform(-0.9, 0.9, size=(3, 4)),
+        )
+        draws = sample(g, [np.random.default_rng(s) for s in range(4)])
+        assert draws.shape == (4, 3, 4, 2)
+        for s in range(4):
+            assert np.array_equal(draws[s], sample(g, [np.random.default_rng(s)])[0])
 
     def test_moments_match(self):
         mu = np.array([1.0, -2.0])
@@ -143,7 +154,7 @@ class TestSample:
             np.tile(g.sigma, (100_000, 1)),
             np.full(100_000, 0.5),
         )
-        draws = sample(gs, rng)
+        draws = sample(gs, [rng])[0]
         assert np.all(np.abs(draws.mean(axis=0) - mu) < 0.02)
         emp_rho = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(emp_rho - 0.5) < 0.02

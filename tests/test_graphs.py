@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from crowdgnn.graphs import (
     Kernel,
     Neighborhood,
     Normalization,
-    adjacency_at_frame,
     build_graph_sequence,
     social_stgcnn_baseline_config,
 )
@@ -83,7 +83,7 @@ def kernel_weight(kernel, p, q):
     pos[0], pos[1] = p, q
     w = TrajectoryWindow("pair", 0, pos, compute_displacements(pos), 8, 12)
     cfg = GraphConfig(neighborhood=Neighborhood.COMPLETE, kernel=kernel)
-    return adjacency_at_frame(w, 0, cfg)[0, 1]
+    return build_graph_sequence(w, cfg).adjacency[0, 0, 1]
 
 
 class TestKernels:
@@ -134,14 +134,14 @@ class TestGates:
     def test_opposite_directions_view_zero(self):
         w = self.two_ped_window((0.4, 0.0), (-0.4, 0.0))
         cfg = GraphConfig(neighborhood=Neighborhood.VIEW)
-        assert adjacency_at_frame(w, 3, cfg)[0, 1] == 0.0
+        assert build_graph_sequence(w, cfg).adjacency[3, 0, 1] == 0.0
 
     def test_distance_threshold(self):
         w = self.two_ped_window((0.4, 0.0), (0.4, 0.0), offset=(6.0, 0.0))
         thresh = GraphConfig(neighborhood=Neighborhood.VIEW_THRESH, epsilon=5.0)
         view = GraphConfig(neighborhood=Neighborhood.VIEW)
-        assert adjacency_at_frame(w, 3, thresh)[0, 1] == 0.0
-        assert adjacency_at_frame(w, 3, view)[0, 1] > 0.0
+        assert build_graph_sequence(w, thresh).adjacency[3, 0, 1] == 0.0
+        assert build_graph_sequence(w, view).adjacency[3, 0, 1] > 0.0
 
     def test_approach_sense_variants(self):
         # head-on: distance strictly decreasing over observed frames
@@ -152,8 +152,8 @@ class TestGates:
         printed = GraphConfig(
             neighborhood=Neighborhood.APPROACH, approach_sense=ApproachSense.AS_PRINTED
         )
-        assert adjacency_at_frame(w, 3, prose)[0, 1] > 0.0
-        assert adjacency_at_frame(w, 3, printed)[0, 1] == 0.0
+        assert build_graph_sequence(w, prose).adjacency[3, 0, 1] > 0.0
+        assert build_graph_sequence(w, printed).adjacency[3, 0, 1] == 0.0
 
     def test_last_observed_frame_uses_backward_change(self):
         w = self.two_ped_window((0.2, 0.0), (-0.2, 0.0), offset=(10.0, 0.0))
@@ -161,7 +161,7 @@ class TestGates:
             neighborhood=Neighborhood.APPROACH, approach_sense=ApproachSense.AS_PROSE
         )
         # approaching throughout, so the gate holds at the final observed frame too
-        assert adjacency_at_frame(w, w.t_obs - 1, cfg)[0, 1] > 0.0
+        assert build_graph_sequence(w, cfg).adjacency[w.t_obs - 1, 0, 1] > 0.0
 
     def test_matrix_matches_oracle_exactly(self, rng):
         for trial in range(10):
@@ -172,8 +172,9 @@ class TestGates:
                         cfg = GraphConfig(
                             neighborhood=nb, kernel=kern, approach_sense=sense
                         )
+                        seq = build_graph_sequence(w, cfg)
                         for t in (0, 3, w.t_obs - 1):
-                            got = adjacency_at_frame(w, t, cfg)
+                            got = seq.adjacency[t]
                             want = oracle_adjacency(w, t, cfg)
                             assert np.array_equal(got, want), (nb, kern, sense, t)
 
@@ -183,27 +184,106 @@ class TestGates:
         w = random_window(np.random.default_rng(seed), n_peds=5)
         for nb in ALL_NEIGHBORHOODS:
             for kern in Kernel:
-                a = adjacency_at_frame(w, 4, GraphConfig(neighborhood=nb, kernel=kern))
+                cfg = GraphConfig(neighborhood=nb, kernel=kern)
+                a = build_graph_sequence(w, cfg).adjacency[4]
                 assert np.max(np.abs(a - a.T)) == 0.0
 
     def test_gate_nesting(self, rng):
         for _ in range(5):
             w = random_window(rng, n_peds=6)
-            for t in range(w.t_obs):
-                view = adjacency_at_frame(w, t, GraphConfig(neighborhood=Neighborhood.VIEW))
-                thresh = adjacency_at_frame(
-                    w, t, GraphConfig(neighborhood=Neighborhood.VIEW_THRESH)
+            view, thresh, appr, both = (
+                build_graph_sequence(w, GraphConfig(neighborhood=nb)).adjacency
+                for nb in (
+                    Neighborhood.VIEW,
+                    Neighborhood.VIEW_THRESH,
+                    Neighborhood.APPROACH,
+                    Neighborhood.VIEW_APPROACH,
                 )
-                appr = adjacency_at_frame(
-                    w, t, GraphConfig(neighborhood=Neighborhood.APPROACH)
-                )
-                both = adjacency_at_frame(
-                    w, t, GraphConfig(neighborhood=Neighborhood.VIEW_APPROACH)
-                )
-                assert np.all(thresh <= view)
-                assert np.all(both <= view)
-                assert np.all(both <= appr)
+            )
+            # every observed frame at once
+            assert np.all(thresh <= view)
+            assert np.all(both <= view)
+            assert np.all(both <= appr)
 
+
+def all_configs():
+    """Every GraphConfig the CLI can build at the default epsilon (80)."""
+    for nb, kern, sense, loops, norm in itertools.product(
+        ALL_NEIGHBORHOODS, Kernel, ApproachSense, (False, True), Normalization
+    ):
+        yield GraphConfig(
+            neighborhood=nb, kernel=kern, approach_sense=sense,
+            self_loops=loops, normalization=norm,
+        )
+
+
+def oracle_sequence(window, cfg, adjacency):
+    """Per-frame degree and normalization of oracle adjacencies [T_obs, N, N]."""
+    eye = np.eye(window.n_peds)
+    adj, deg, norm = [], [], []
+    for a in adjacency:
+        if cfg.self_loops:
+            a = a + eye
+        d = a.sum(axis=1)
+        d_inv_sqrt = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+        if cfg.normalization is Normalization.PAPER_LAPLACIAN:
+            m = np.diag(d) - a
+        else:
+            m = a
+        adj.append(a)
+        deg.append(d)
+        norm.append(d_inv_sqrt[:, None] * m * d_inv_sqrt[None, :])
+    return np.stack(adj), np.stack(deg), np.stack(norm)
+
+
+def crowd_window(rng, n_peds, t_obs):
+    """Random crowd in which pedestrians 0 and 1 coincide at every frame and
+    the first half walks on a 1 m grid, so that pairwise distances tie."""
+    w = random_window(rng, n_peds=n_peds, t_obs=t_obs, box=6.0)
+    half = (n_peds + 1) // 2
+    w.positions[:half] = np.round(w.positions[:half])
+    w.positions[1] = w.positions[0]
+    w.displacements = compute_displacements(w.positions)
+    return w
+
+
+class TestWholeWindowBuilder:
+    # the N=200 window observes 2 frames, which still covers the approach
+    # gate's forward change and its last-frame fallback, to bound the time
+    # the pure-Python oracle takes
+    @pytest.mark.parametrize(
+        "n_peds,t_obs", [(n, 8) for n in (2, 3, 4, 5, 6, 7, 10, 50)] + [(200, 2)]
+    )
+    def test_bitwise_equal_to_per_frame_oracle(self, n_peds, t_obs):
+        w = crowd_window(np.random.default_rng(n_peds), n_peds, t_obs)
+        approach = (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH)
+        oracle = {}
+        for cfg in all_configs():
+            # only the approach gates read the approach sense
+            sense = cfg.approach_sense if cfg.neighborhood in approach else None
+            key = (cfg.neighborhood, cfg.kernel, sense)
+            if key not in oracle:
+                oracle[key] = [oracle_adjacency(w, t, cfg) for t in range(t_obs)]
+            seq = build_graph_sequence(w, cfg)
+            want = oracle_sequence(w, cfg, oracle[key])
+            got = (seq.adjacency, seq.degree, seq.normalized)
+            for name, g, e in zip(("adjacency", "degree", "normalized"), got, want):
+                assert np.array_equal(g, e), (name, cfg)
+                assert np.array_equal(np.signbit(g), np.signbit(e)), (name, cfg)
+
+    def test_permuting_pedestrians_permutes_graphs(self, rng):
+        w = random_window(rng, n_peds=10)
+        perm = rng.permutation(w.n_peds)
+        pw = TrajectoryWindow(
+            "perm", 0, w.positions[perm], w.displacements[perm], w.t_obs, w.t_pred
+        )
+        for cfg in all_configs():
+            seq, pseq = build_graph_sequence(w, cfg), build_graph_sequence(pw, cfg)
+            assert np.array_equal(pseq.adjacency, seq.adjacency[:, perm][:, :, perm])
+            assert np.max(np.abs(pseq.degree - seq.degree[:, perm])) <= 1e-12
+            assert np.max(
+                np.abs(pseq.normalized - seq.normalized[:, perm][:, :, perm])
+            ) <= 1e-12
 
 class TestLaplacian:
     def test_two_node_normalized_closed_form(self, rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crowdgnn.autodiff import Var
+from crowdgnn.data import TrajectoryWindow
 from crowdgnn.graphs import GraphConfig
 from crowdgnn.model import (
     CHECKPOINT_MAGIC,
@@ -220,6 +221,19 @@ class TestStGcn:
         ).data
         # equality up to summation-order rounding in the matrix products
         assert np.allclose(out[:, perm], out_p, rtol=1e-13, atol=1e-13)
+
+    def test_forward_raw_depends_on_pedestrian_order(self, rng):
+        # the graphs and the ST-GCN layer are permutation-equivariant, but
+        # each TXP plane conv mixes rows that are adjacent in pedestrian order
+        w = random_window(rng, n_peds=10)
+        perm = rng.permutation(w.n_peds)
+        pw = TrajectoryWindow(
+            "perm", 0, w.positions[perm], w.displacements[perm], w.t_obs, w.t_pred
+        )
+        out = forward_raw(w, GraphConfig(), small_params()).data
+        out_p = forward_raw(pw, GraphConfig(), small_params()).data
+        change = np.max(np.abs(out_p - out[:, perm]))
+        assert change > 0.1 * np.max(np.abs(out))
 
 
 class TestTxp:
