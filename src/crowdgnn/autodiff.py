@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Var", "prelu", "clamp"]
+__all__ = ["Var", "prelu"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -22,10 +22,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-# index kinds that select each element at most once
-_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis))
 
 
 class Var:
@@ -68,17 +64,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Var(-self.data, (self,))
-        out._backward = lambda g: self._ensure_grad().__iadd__(-g)
-        return out
-
-    def __sub__(self, other):
-        return self + (-Var._lift(other))
-
-    def __rsub__(self, other):
-        return Var._lift(other) + (-self)
-
     def __mul__(self, other):
         other = Var._lift(other)
         out = Var(self.data * other.data, (self, other))
@@ -91,31 +76,6 @@ class Var:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Var._lift(other)
-        out = Var(self.data / other.data, (self, other))
-
-        def bw(g):
-            self._ensure_grad()[...] += _unbroadcast(g / other.data, self.data.shape)
-            other._ensure_grad()[...] += _unbroadcast(
-                -g * self.data / (other.data * other.data), other.data.shape
-            )
-
-        out._backward = bw
-        return out
-
-    def __rtruediv__(self, other):
-        return Var._lift(other) / self
-
-    def __pow__(self, p: float):
-        out = Var(self.data ** p, (self,))
-
-        def bw(g):
-            self._ensure_grad()[...] += g * p * self.data ** (p - 1)
-
-        out._backward = bw
-        return out
 
     def __matmul__(self, other):
         other = Var._lift(other)
@@ -130,25 +90,6 @@ class Var:
         out._backward = bw
         return out
 
-    # ---- elementwise nonlinearities -------------------------------------
-
-    def exp(self):
-        val = np.exp(self.data)
-        out = Var(val, (self,))
-        out._backward = lambda g: self._ensure_grad().__iadd__(g * val)
-        return out
-
-    def log(self):
-        out = Var(np.log(self.data), (self,))
-        out._backward = lambda g: self._ensure_grad().__iadd__(g / self.data)
-        return out
-
-    def tanh(self):
-        val = np.tanh(self.data)
-        out = Var(val, (self,))
-        out._backward = lambda g: self._ensure_grad().__iadd__(g * (1.0 - val * val))
-        return out
-
     # ---- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
@@ -158,25 +99,13 @@ class Var:
         )
         return out
 
-    def transpose(self, *axes):
-        out = Var(self.data.transpose(*axes), (self,))
-        out._backward = lambda g: self._ensure_grad().__iadd__(
-            g.transpose(np.argsort(axes))
-        )
-        return out
-
     def __getitem__(self, idx):
+        """Basic indexing only (ints, slices, Ellipsis): each element is
+        selected at most once, so the backward is a plain slice-add."""
         out = Var(self.data[idx], (self,))
-        parts = idx if isinstance(idx, tuple) else (idx,)
-        if all(isinstance(i, _BASIC_INDEX) for i in parts):
 
-            def bw(g):
-                self._ensure_grad()[idx] += g
-
-        else:
-            # fancy indices may repeat an element; add.at accumulates repeats
-            def bw(g):
-                np.add.at(self._ensure_grad(), idx, g)
+        def bw(g):
+            self._ensure_grad()[idx] += g
 
         out._backward = bw
         return out
@@ -194,10 +123,6 @@ class Var:
 
         out._backward = bw
         return out
-
-    def mean(self, axis=None):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
 
     # ---- backprop ----------------------------------------------------------
 
@@ -242,10 +167,3 @@ def prelu(x: Var, slope: Var) -> Var:
     out._backward = bw
     return out
 
-
-def clamp(x: Var, lo: float, hi: float) -> Var:
-    """Clamp values; gradient is 1 strictly inside [lo, hi], 0 outside."""
-    inside = (x.data > lo) & (x.data < hi)
-    out = Var(np.clip(x.data, lo, hi), (x,))
-    out._backward = lambda g: x._ensure_grad().__iadd__(g * inside)
-    return out

@@ -409,12 +409,17 @@ def _apply_config_file(commands: dict[str, _FlagParser], argv: list[str]) -> lis
     One file can serve several subcommands: each takes the keys that are
     its flags and skips the rest. A key that no subcommand has is an error.
     """
-    if "--config" not in argv:
+    # "--config PATH" or "--config=PATH"
+    i = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
+    _, inline, path = argv[i].partition("=")
+    if inline:
+        rest = argv[:i] + argv[i + 1 :]
+    elif i + 1 == len(argv):
         raise UsageError("--config needs a JSON file path")
-    path = argv[i + 1]
+    else:
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -422,7 +427,6 @@ def _apply_config_file(commands: dict[str, _FlagParser], argv: list[str]) -> lis
             raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
-    rest = argv[:i] + argv[i + 2 :]
     known = set().union(*(p.flags for p in commands.values()))
     flags = {}
     for key, value in cfg.items():

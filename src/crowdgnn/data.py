@@ -7,6 +7,8 @@ intervals).
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,6 +206,14 @@ def load_scene_dir(
 # ---- window archives -------------------------------------------------------
 
 
+# what np.load and reading the arrays raise for a file that is not a
+# readable window archive: empty, truncated, not a zip, pickled, a bare .npy,
+# missing or mis-shaped entries
+_ARCHIVE_READ_ERRORS = (
+    OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile, zlib.error
+)
+
+
 def save_windows(path, windows: list[TrajectoryWindow]) -> None:
     arrays = {
         "format_version": np.array(ARCHIVE_FORMAT_VERSION),
@@ -234,23 +244,33 @@ def _window_fault(w: TrajectoryWindow) -> str | None:
 
 
 def load_windows(path) -> list[TrajectoryWindow]:
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["format_version"])
-        if version != ARCHIVE_FORMAT_VERSION:
-            raise ValueError(f"unsupported archive format version {version}")
-        out = []
-        for i in range(int(z["n_windows"])):
-            start_frame, t_obs, t_pred = (int(v) for v in z[f"w{i}_meta"])
-            w = TrajectoryWindow(
-                scene_id=str(z[f"w{i}_scene"]),
-                start_frame=start_frame,
-                positions=z[f"w{i}_positions"],
-                displacements=z[f"w{i}_disp"],
-                t_obs=t_obs,
-                t_pred=t_pred,
-            )
-            fault = _window_fault(w)
-            if fault is not None:
-                raise ValueError(f"{path}: window {i}: {fault}")
-            out.append(w)
-    return out
+    """The checked windows of an archive written by `save_windows`.
+
+    Any failure to read the archive is a ValueError naming it; a missing
+    file stays a FileNotFoundError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            version = int(z["format_version"])
+            if version != ARCHIVE_FORMAT_VERSION:
+                raise ValueError(f"unsupported archive format version {version}")
+            windows = []
+            for i in range(int(z["n_windows"])):
+                start_frame, t_obs, t_pred = (int(v) for v in z[f"w{i}_meta"])
+                windows.append(TrajectoryWindow(
+                    scene_id=str(z[f"w{i}_scene"]),
+                    start_frame=start_frame,
+                    positions=z[f"w{i}_positions"],
+                    displacements=z[f"w{i}_disp"],
+                    t_obs=t_obs,
+                    t_pred=t_pred,
+                ))
+    except FileNotFoundError:
+        raise
+    except _ARCHIVE_READ_ERRORS as exc:
+        raise ValueError(f"{path}: unreadable archive: {exc}") from exc
+    for i, w in enumerate(windows):
+        fault = _window_fault(w)
+        if fault is not None:
+            raise ValueError(f"{path}: window {i}: {fault}")
+    return windows

@@ -67,12 +67,12 @@ def predict_gaussians(
     window: TrajectoryWindow, graph_cfg: GraphConfig, params: ModelParameters
 ) -> GaussianParams:
     """Deterministic forward pass -> displacement-space Gaussians [N, T_pred]."""
-    mu, sigma, rho = constrain(forward_raw(window, graph_cfg, params))
+    mu, sigma, rho = constrain(forward_raw(window, graph_cfg, params).data)
     # [T_pred, N, ...] -> [N, T_pred, ...]
     return GaussianParams(
-        mu=mu.data.transpose(1, 0, 2),
-        sigma=sigma.data.transpose(1, 0, 2),
-        rho=rho.data.T,
+        mu=mu.transpose(1, 0, 2),
+        sigma=sigma.transpose(1, 0, 2),
+        rho=rho.T,
     )
 
 

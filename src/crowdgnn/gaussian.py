@@ -1,4 +1,5 @@
-"""Bivariate-Gaussian output head: parameter constraints, NLL, sampling.
+"""Bivariate-Gaussian output head: parameter constraints, NLL, the fused
+training loss and sampling.
 
 The network emits 5 raw channels per pedestrian per predicted frame
 (mu_x, mu_y, log sigma_x, log sigma_y, pre-tanh rho). Gaussians live in
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, clamp
+from .autodiff import Var
 
 RHO_MAX = 1.0 - 1e-6
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -25,35 +26,72 @@ class GaussianParams:
     rho: np.ndarray  # [...], in (-1, 1)
 
 
-def constrain(raw: Var) -> tuple[Var, Var, Var]:
+def constrain(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map raw [..., 5] outputs to (mu [..., 2], sigma [..., 2], rho [...]).
 
-    sigma via exp, rho via tanh clamped to |rho| <= 1 - 1e-6 so the
+    sigma via exp, rho via tanh clipped to |rho| <= 1 - 1e-6 so the
     log-determinant stays finite.
     """
-    if not np.all(np.isfinite(raw.data)):
+    if not np.all(np.isfinite(raw)):
         raise ValueError("non-finite raw Gaussian parameters")
-    mu = raw[..., 0:2]
-    sigma = raw[..., 2:4].exp()
-    rho = clamp(raw[..., 4].tanh(), -RHO_MAX, RHO_MAX)
-    return mu, sigma, rho
+    rho = np.clip(np.tanh(raw[..., 4]), -RHO_MAX, RHO_MAX)
+    return raw[..., 0:2], np.exp(raw[..., 2:4]), rho
 
 
-def nll(target: np.ndarray, mu: Var, sigma: Var, rho: Var) -> Var:
+def nll(
+    target: np.ndarray, mu: np.ndarray, sigma: np.ndarray, rho: np.ndarray
+) -> np.ndarray:
     """Elementwise negative log-likelihood, shape [...] (nats per point)."""
-    dx = Var(np.asarray(target)[..., 0]) - mu[..., 0]
-    dy = Var(np.asarray(target)[..., 1]) - mu[..., 1]
+    target = np.asarray(target)
+    dx = target[..., 0] - mu[..., 0]
+    dy = target[..., 1] - mu[..., 1]
     sx = sigma[..., 0]
     sy = sigma[..., 1]
     one_minus_r2 = 1.0 - rho * rho
     z = (dx / sx) ** 2 + (dy / sy) ** 2 - 2.0 * rho * dx * dy / (sx * sy)
     return (
         LOG_TWO_PI
-        + sx.log()
-        + sy.log()
-        + 0.5 * one_minus_r2.log()
+        + np.log(sx)
+        + np.log(sy)
+        + 0.5 * np.log(one_minus_r2)
         + z / (2.0 * one_minus_r2)
     )
+
+
+def mean_nll(raw: Var, target: np.ndarray) -> Var:
+    """Mean of `nll` over every point of raw [..., 5], as one tape node.
+
+    The backward is the closed-form gradient of nll(constrain(raw)) per
+    point, divided by the point count. With sx = e^raw2, sy = e^raw3,
+    a = (tx - raw0) / sx, b = (ty - raw1) / sy, q = 1 - rho^2,
+    z = a^2 + b^2 - 2 rho a b, ua = (a - rho b) / q and ub = (b - rho a) / q:
+    d raw0 = -ua / sx, d raw1 = -ub / sy, d raw2 = 1 - a ua,
+    d raw3 = 1 - b ub and d raw4 = (rho z / q - rho - a b) / q * tanh'.
+    Where rho is not clipped, tanh' = 1 - rho^2 = q cancels the division;
+    where it is (|tanh| >= RHO_MAX), d raw4 is 0.
+    """
+    target = np.asarray(target)
+    mu, sigma, rho = constrain(raw.data)
+    per_point = nll(target, mu, sigma, rho)
+    scale = 1.0 / per_point.size
+    out = Var(per_point.sum() * scale, (raw,))
+
+    def bw(g):
+        sx, sy = sigma[..., 0], sigma[..., 1]
+        a = (target[..., 0] - mu[..., 0]) / sx
+        b = (target[..., 1] - mu[..., 1]) / sy
+        q = 1.0 - rho * rho
+        ua = (a - rho * b) / q
+        ub = (b - rho * a) / q
+        z = a * a + b * b - 2.0 * rho * a * b
+        d_rho = np.where(np.abs(rho) < RHO_MAX, rho * z / q - rho - a * b, 0.0)
+        grad = np.stack(
+            [-ua / sx, -ub / sy, 1.0 - a * ua, 1.0 - b * ub, d_rho], axis=-1
+        )
+        raw._ensure_grad()[...] += grad * (g * scale)
+
+    out._backward = bw
+    return out
 
 
 def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -201,6 +201,8 @@ class ModelParameters:
             v.data = np.frombuffer(
                 payload, dtype="<f8", count=v.data.size, offset=entry["offset"]
             ).reshape(v.data.shape).copy()
+            if not np.all(np.isfinite(v.data)):
+                raise ValueError(f"{path}: tensor {entry['name']} holds non-finite values")
         return params, extra
 
 

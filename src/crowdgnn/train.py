@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetSplit
-from .gaussian import constrain, nll
+from .gaussian import mean_nll
 from .graphs import GraphConfig
 from .model import ModelConfig, ModelParameters, forward_raw
 
@@ -61,10 +61,8 @@ class EpochRecord:
 
 def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters):
     """Mean NLL per (pedestrian, predicted frame) for one window, as a Var."""
-    raw = forward_raw(window, graph_cfg, params)
-    mu, sigma, rho = constrain(raw)
     target = window.future_displacements().transpose(1, 0, 2)  # [T_pred, N, 2]
-    return nll(target, mu, sigma, rho).mean()
+    return mean_nll(forward_raw(window, graph_cfg, params), target)
 
 
 def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 from crowdgnn.cli import main
 from crowdgnn.data import load_windows, save_windows
+from crowdgnn.model import ModelParameters
 from conftest import random_window
 from test_data import _faulty
 from test_model import add_earlier_settings, rewrite_header
@@ -125,6 +126,17 @@ class TestDumpGraph:
         assert f"{archive}: window 0: " in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("content", [b"", b"frame ped x y\n"], ids=["empty", "text"])
+    def test_unreadable_archive_exit_2(self, tmp_path, content, capsys):
+        archive = tmp_path / "bad.npz"
+        archive.write_bytes(content)
+        rc = main(
+            ["dump-graph", "--archive", str(archive), "--out", str(tmp_path / "g")]
+        )
+        assert rc == 2
+        assert f"{archive}: unreadable archive: " in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
 
 class TestTrainEval:
     def test_eval_writes_report(self, scene_dir, ckpt, tmp_path):
@@ -171,6 +183,18 @@ class TestTrainEval:
         rewrite_header(earlier, lambda h: h["model_config"].update(txp_residual=False))
         assert eval_rc(earlier, tmp_path / "c.json") == 2
         assert "earlier.ckpt: model_config key 'txp_residual'" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exit_2(self, scene_dir, ckpt, tmp_path, capsys):
+        params, extra = ModelParameters.load(ckpt)
+        params["txp.out.b"].data[0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        params.save(bad, extra_config=extra)
+        rc = main(
+            ["eval", "--ckpt", str(bad), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert f"{bad}: tensor txp.out.b holds non-finite" in capsys.readouterr().err
 
     def test_invalid_train_config_exit_2(self, scene_dir, tmp_path, capsys):
         for flag, value in (("--batch", "0"), ("--clip-norm", "-1")):
@@ -306,6 +330,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(cfg) in err
         assert "Expecting ',' delimiter" in err
+
+    def test_config_equals_form(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"t-obs": 6, "held-out": "eth", "scene-dir": str(scene_dir)}
+        ))
+        out = tmp_path / "prep"
+        assert main(["prep", f"--config={cfg}", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_echo"]["t_obs"] == 6
+        cfg.write_text(json.dumps({"bogus-key": 1}))
+        assert main(["prep", f"--config={cfg}", "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}: unknown config key 'bogus-key'" in capsys.readouterr().err
 
     def test_bare_config_flag_exit_2(self, capsys):
         rc = main(["train", "--config"])

@@ -174,6 +174,10 @@ def test_forward_tape_size(rng, monkeypatch):
     monkeypatch.setattr(Var, "__init__", counting_init)
     forward_raw(w, GraphConfig(), p)
     assert 0 < created <= 30
+    # the Gaussian head adds one node: constrain + NLL + mean are one op
+    created = 0
+    window_nll(w, GraphConfig(), p)
+    assert 0 < created <= 30
 
 
 class TestStGcn:
@@ -364,6 +368,14 @@ class TestCheckpoint:
         small_params().save(path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ValueError, match="m.ckpt: unreadable checkpoint header"):
+            ModelParameters.load(path)
+
+    def test_non_finite_tensor_names_path(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        p = small_params()
+        p["txp.out.b"].data[0] = np.nan
+        p.save(path)
+        with pytest.raises(ValueError, match="m.ckpt: tensor txp.out.b holds non-finite"):
             ModelParameters.load(path)
 
     def test_dropped_tensor_rejected(self, tmp_path):
