@@ -126,7 +126,8 @@ class Var:
 
     # ---- backprop ----------------------------------------------------------
 
-    def backward(self):
+    def backward(self, seed: float = 1.0):
+        """Backpropagate from this scalar root, whose gradient is `seed`."""
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar root")
         if self._done:
@@ -149,7 +150,7 @@ class Var:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        self.grad = np.full_like(self.data, seed)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -336,7 +336,8 @@ class _FlagParser(argparse.ArgumentParser):
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
-        prog="crowdgnn", description="Pedestrian trajectory prediction toolkit"
+        prog="crowdgnn", description="Pedestrian trajectory prediction toolkit",
+        allow_abbrev=False,  # "--conf" must not be taken as "--config"
     )
     parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(

@@ -78,11 +78,13 @@ def parse_trajectory_file(path) -> list[RawTrack]:
                     f"{path}:{lineno}: expected 4 fields, got {len(parts)}"
                 )
             try:
-                frame_id = int(float(parts[0]))
-                ped_id = int(float(parts[1]))
+                frame_f, ped_f = float(parts[0]), float(parts[1])
                 x, y = float(parts[2]), float(parts[3])
+                frame_id, ped_id = int(frame_f), int(ped_f)
             except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from exc
+            if frame_id != frame_f or ped_id != ped_f:  # "780.0" is fine, "10.5" is not
+                raise TrajectoryParseError(f"{path}:{lineno}: non-integral id in {line!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise TrajectoryParseError(
                     f"{path}:{lineno}: non-finite coordinate ({parts[2]}, {parts[3]})"

@@ -206,33 +206,43 @@ class ModelParameters:
         return params, extra
 
 
+def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1, zero-padded "same" correlation as one im2col matmul.
+
+    x: [C_in, H, W], w: [C_out, C_in, kh, kw] with odd kernels only (the
+    module constants, 3; `ModelParameters.load` rejects other shapes).
+    Returns out [C_out, H, W] and the columns [C_in*kh*kw, H*W]. A conv's
+    input gradient is this correlation of the output gradient with w
+    flipped in space and in/out channels swapped (Dumoulin & Visin 2016).
+    """
+    c_out, c_in, kh, kw = w.shape
+    _, h, wd = x.shape
+    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
+    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    # [C_in, H, W, kh, kw] -> rows (c, dh, dw) in w's flattening order
+    cols = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = cols.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h * wd)
+    out = w.reshape(c_out, c_in * kh * kw) @ cols
+    return out.reshape(c_out, h, wd), cols
+
+
 def _temporal_conv(x: Var, w: Var, b: Var) -> Var:
     """1D conv over the leading time axis, symmetric zero padding, one tape op.
 
-    x: [T, N, C], w: [K, C, C], b: [C]; stride 1, same output length.
-    The K time-shifted copies of x form im2col columns [T*N, K*C], so the
-    forward is one matmul against w flattened to [K*C, C].
+    x: [T, N, C], w: [K, C, C], b: [C]; stride 1, same output length. This
+    is the (K x 1) correlation over the (T, N) plane with C as channels.
     """
-    k, c_in, c_out = w.shape
-    pad = k // 2
-    t, n, _ = x.shape
-    xp = np.pad(x.data, ((pad, pad), (0, 0), (0, 0)))
-    # [T, N, C, K] -> rows (t, n), columns (k, c) in w's flattening order;
-    # an even K gives one window more than T, which [:t] drops
-    cols = sliding_window_view(xp, k, axis=0)[:t].transpose(0, 1, 3, 2)
-    cols = cols.reshape(t * n, k * c_in)
-    w2 = w.data.reshape(k * c_in, c_out)
-    out = Var((cols @ w2 + b.data).reshape(t, n, c_out), (x, w, b))
+    wk = w.data.transpose(2, 1, 0)[..., None]  # [C_out, C_in, K, 1]
+    y, cols = _correlate(x.data.transpose(2, 0, 1), wk)
+    out = Var(y.transpose(1, 2, 0) + b.data, (x, w, b))
 
     def bw(g):
-        g2 = g.reshape(t * n, c_out)
-        w._ensure_grad()[...] += (cols.T @ g2).reshape(w.shape)
-        b._ensure_grad()[...] += g2.sum(axis=0)
-        gcols = (g2 @ w2.T).reshape(t, n, k, c_in)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[j : j + t] += gcols[:, :, j]
-        x._ensure_grad()[...] += gxp[pad : pad + t]
+        gc = g.transpose(2, 0, 1)
+        g2 = gc.reshape(len(gc), -1)
+        w._ensure_grad()[...] += (g2 @ cols.T).reshape(wk.shape[:3]).transpose(2, 1, 0)
+        b._ensure_grad()[...] += g2.sum(axis=1)
+        gx = _correlate(gc, wk[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
+        x._ensure_grad()[...] += gx.transpose(1, 2, 0)
 
     out._backward = bw
     return out
@@ -242,31 +252,15 @@ def _plane_conv(x: Var, w: Var, b: Var) -> Var:
     """2D conv over the trailing (N, F) plane with time-as-channels, one tape op.
 
     x: [C_in, N, F], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
-    The k*k shifted copies of x form im2col columns [C_in*k*k, N*F]
-    (Chellapilla et al. 2006), so the forward is one matmul against w
-    flattened to [C_out, C_in*k*k].
     """
-    c_out, c_in, k, _ = w.shape
-    pad = k // 2
-    _, n, f = x.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    # [C_in, N, F, k, k] -> rows (c, dn, df) in w's flattening order;
-    # an even k gives one window more than N and F, which [:n, :f] drops
-    cols = sliding_window_view(xp, (k, k), axis=(1, 2))[:, :n, :f]
-    cols = cols.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, n * f)
-    w2 = w.data.reshape(c_out, c_in * k * k)
-    out = Var((w2 @ cols + b.data[:, None]).reshape(c_out, n, f), (x, w, b))
+    y, cols = _correlate(x.data, w.data)
+    out = Var(y + b.data[:, None, None], (x, w, b))
 
     def bw(g):
-        g2 = g.reshape(c_out, n * f)
+        g2 = g.reshape(len(g), -1)
         w._ensure_grad()[...] += (g2 @ cols.T).reshape(w.shape)
         b._ensure_grad()[...] += g2.sum(axis=1)
-        gcols = (w2.T @ g2).reshape(c_in, k, k, n, f)
-        gxp = np.zeros_like(xp)
-        for dn in range(k):
-            for df in range(k):
-                gxp[:, dn : dn + n, df : df + f] += gcols[:, dn, df]
-        x._ensure_grad()[...] += gxp[:, pad : pad + n, pad : pad + f]
+        x._ensure_grad()[...] += _correlate(g, w.data[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
 
     out._backward = bw
     return out

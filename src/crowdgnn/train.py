@@ -123,8 +123,8 @@ def train(
             for idx in batch:
                 window = split.train[idx]
                 try:
-                    loss = window_nll(window, graph_cfg, params) * (1.0 / len(batch))
-                    val = float(loss.data) * len(batch)
+                    loss = window_nll(window, graph_cfg, params)
+                    val = float(loss.data)
                 except ValueError as exc:
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, "
@@ -135,7 +135,7 @@ def train(
                         f"non-finite loss at epoch {epoch}, window {window.window_id}"
                     )
                 batch_losses.append(val)
-                loss.backward()
+                loss.backward(1.0 / len(batch))
             sgd_step(params, lr, cfg)
             epoch_losses.extend(batch_losses)
 

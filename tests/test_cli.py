@@ -344,6 +344,19 @@ class TestConfigFile:
         assert main(["prep", f"--config={cfg}", "--out", str(tmp_path / "o")]) == 2
         assert f"{cfg}: unknown config key 'bogus-key'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["--conf", "--con="])
+    def test_abbreviated_config_flag_exit_2(self, scene_dir, tmp_path, capsys, form):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bogus-key": 1}))
+        flag = [form + str(cfg)] if form.endswith("=") else [form, str(cfg)]
+        out = tmp_path / "prep"
+        with pytest.raises(SystemExit) as exc:
+            main(flag + ["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
+                         "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()  # prep did not run
+        assert "crowdgnn: error:" in capsys.readouterr().err
+
     def test_bare_config_flag_exit_2(self, capsys):
         rc = main(["train", "--config"])
         assert rc == 2

@@ -42,13 +42,20 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "line",
-        ["1 2 three 4", "1 2 nan 4", "1 2 3 inf", "inf 2 3 4"],
-        ids=["three", "nan", "inf", "inf-frame"],
+        ["1 2 three 4", "1 2 nan 4", "1 2 3 inf", "inf 2 3 4", "10.5 1 0 0",
+         "1e3 2.9 0 0"],
+        ids=["three", "nan", "inf", "inf-frame", "frac-frame", "frac-ped"],
     )
     def test_malformed_line_reports_lineno(self, tmp_path, line):
         p = write(tmp_path, f"0 1 0 0\n{line}\n")
         with pytest.raises(TrajectoryParseError, match=":2"):
             parse_trajectory_file(p)
+
+    def test_float_written_integral_ids_parse(self, tmp_path):
+        p = write(tmp_path, "1.0e+01 3.0 1 2\n780.0 1.0000000e+01 0 0\n")
+        recs = parse_trajectory_file(p)
+        assert [(r.frame_id, r.ped_id) for r in recs] == [(10, 3), (780, 10)]
+        assert (recs[0].x, recs[0].y) == (1.0, 2.0)
 
     def test_wrong_field_count(self, tmp_path):
         p = write(tmp_path, "0 1 0\n")

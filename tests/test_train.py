@@ -93,6 +93,34 @@ class TestTrainLoop:
             assert a.val_nll == b.val_nll
             assert a.lr == b.lr
 
+    @pytest.mark.parametrize("seed", [1 / 33, 1 / 128])
+    def test_backward_seed_equals_scaled_loss(self, rng, seed):
+        # the 1/B batch weight enters as the root gradient, not as a product
+        w = random_window(rng, n_peds=4)
+        grads = []
+        for scaled in (False, True):
+            p = ModelParameters(ModelConfig(), seed=3)
+            if scaled:
+                (window_nll(w, GraphConfig(), p) * seed).backward()
+            else:
+                window_nll(w, GraphConfig(), p).backward(seed)
+            grads.append({name: v.grad for name, v in p.items()})
+        for name, g in grads[0].items():
+            assert np.array_equal(g, grads[1][name]), name
+
+    def test_reported_train_nll_is_the_nll(self):
+        # one batch of 3 windows: the report is the mean of the window NLLs at
+        # the initial parameters; (nll / 3) * 3 differs from it in the last
+        # bit for some of these splits
+        cfg = TrainConfig(epochs=1, batch_size=3, lr_switch_epoch=1, seed=4)
+        order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(3)
+        p = ModelParameters(ModelConfig(), seed=cfg.seed)
+        for split_seed in range(10):
+            split = tiny_split(np.random.default_rng(split_seed), n_train=3, n_val=1)
+            _, hist = train(split, GraphConfig(), cfg)
+            nlls = [float(window_nll(split.train[i], GraphConfig(), p).data) for i in order]
+            assert hist[0].train_nll == float(np.mean(nlls)), split_seed
+
     def test_empty_train_rejected(self):
         split = DatasetSplit(train=[], val=[], test=[], held_out_scene="x")
         with pytest.raises(ValueError):
