@@ -26,6 +26,7 @@ from .graphs import (
     Neighborhood,
     Normalization,
     build_graph_sequence,
+    graph_adjacency,
     social_stgcnn_baseline_config,
 )
 from .model import ModelConfig, ModelParameters
@@ -118,7 +119,10 @@ def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig | None, dict]:
     """(parameters, stored graph config or None, extra config) of a checkpoint."""
     params, extra = ModelParameters.load(path)
     stored = extra.get("graph_config")
-    return params, None if stored is None else GraphConfig(**stored), extra
+    try:
+        return params, None if stored is None else GraphConfig(**stored), extra
+    except (TypeError, ValueError) as exc:  # e.g. an unknown enum value
+        raise ValueError(f"{path}: invalid graph_config: {exc}") from None
 
 
 # ---- subcommands ------------------------------------------------------------
@@ -163,13 +167,13 @@ def cmd_dump_graph(args) -> int:
     if args.window_id is not None and not selected:
         raise UsageError(f"unknown window id {args.window_id!r}")
     for w in selected:
-        seq = build_graph_sequence(w, cfg)
+        adjacency = graph_adjacency(w, cfg)
         doc = {
             "window_id": w.window_id,
             "config_echo": cfg.to_dict(),
-            "adjacency": seq.adjacency.tolist(),
-            "degree": seq.degree.tolist(),
-            "normalized": seq.normalized.tolist(),
+            "adjacency": adjacency.tolist(),
+            "degree": adjacency.sum(axis=2).tolist(),
+            "normalized": build_graph_sequence(w, cfg).tolist(),
         }
         fname = w.window_id.replace(":", "_") + ".json"
         with open(out / fname, "w") as fh:

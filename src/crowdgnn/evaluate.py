@@ -49,18 +49,22 @@ class MetricsReport:
             json.dump(self.to_dict(), fh, indent=2)
 
 
-def ade(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean L2 error over all pedestrians and predicted steps. [N, T, 2]."""
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return float(np.mean(np.linalg.norm(pred - truth, axis=-1)))
+def ade(pred: np.ndarray, truth: np.ndarray):
+    """Mean L2 error over all pedestrians and predicted steps: a float for one
+    prediction [N, T, 2] and an array [k] for k predictions [k, N, T, 2]."""
+    return _mean_error(pred, truth, slice(None))
 
 
-def fde(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean L2 error at the final predicted step only."""
-    if pred.shape != truth.shape:
+def fde(pred: np.ndarray, truth: np.ndarray):
+    """Mean L2 error at the final predicted step only; shapes as in `ade`."""
+    return _mean_error(pred, truth, slice(-1, None))
+
+
+def _mean_error(pred: np.ndarray, truth: np.ndarray, steps: slice):
+    if pred.shape[-3:] != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return float(np.mean(np.linalg.norm(pred[:, -1] - truth[:, -1], axis=-1)))
+    err = np.linalg.norm(pred[..., steps, :] - truth[:, steps], axis=-1)
+    return float(err.mean()) if err.ndim == 2 else err.mean(axis=(-2, -1))
 
 
 def predict_gaussians(
@@ -114,12 +118,11 @@ def best_of_k(
     truth = window.future_positions()
     last_obs = window.positions[:, window.t_obs - 1]
     preds = sample_trajectory(g, last_obs, sample_generators(seed, window.window_id, k))
-    ades = [ade(pred, truth) for pred in preds]
-    fdes = [fde(pred, truth) for pred in preds]
+    ades, fdes = ade(preds, truth), fde(preds, truth)
     if independent_min:
-        return min(ades), min(fdes)
+        return float(ades.min()), float(fdes.min())
     best = int(np.argmin(ades))
-    return ades[best], fdes[best]
+    return float(ades[best]), float(fdes[best])
 
 
 def evaluate(

@@ -3,8 +3,8 @@
 Each observed frame gets a weighted adjacency matrix: a distance kernel
 (inverse norm or exponential decay) gated by a neighborhood predicate
 (field-of-view dot product, 5 m distance threshold, approach dynamics, or
-the complete-graph baseline), then degree and normalized-Laplacian
-matrices for the graph convolution.
+the complete-graph baseline), then normalized in place (Laplacian or
+adjacency) for the graph convolution.
 """
 from __future__ import annotations
 
@@ -59,21 +59,7 @@ class GraphConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     def to_dict(self) -> dict:
-        return {
-            "neighborhood": self.neighborhood.value,
-            "kernel": self.kernel.value,
-            "epsilon": self.epsilon,
-            "approach_sense": self.approach_sense.value,
-            "self_loops": self.self_loops,
-            "normalization": self.normalization.value,
-        }
-
-
-@dataclass
-class GraphSequence:
-    adjacency: np.ndarray  # [T_obs, N, N]
-    degree: np.ndarray  # [T_obs, N]
-    normalized: np.ndarray  # [T_obs, N, N]
+        return {k: v.value if isinstance(v, Enum) else v for k, v in self.__dict__.items()}
 
 
 def social_stgcnn_baseline_config() -> GraphConfig:
@@ -86,39 +72,33 @@ def social_stgcnn_baseline_config() -> GraphConfig:
     )
 
 
-def _pairwise_dist(pos: np.ndarray) -> np.ndarray:
-    """Euclidean distances [..., N, N] between C-contiguous points [..., N, 2]."""
+def graph_adjacency(window: TrajectoryWindow, cfg: GraphConfig) -> np.ndarray:
+    """Gated, kernel-weighted adjacency [T_obs, N, N], self-loops included."""
+    n, t_obs = window.n_peds, window.t_obs
+    nb = cfg.neighborhood
+    view = None
+    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
+        v = window.displacements[:, :t_obs].transpose(1, 0, 2)  # [T_obs, N, 2]
+        dot = v[..., :, None, 0] * v[..., None, :, 0]
+        dot += v[..., :, None, 1] * v[..., None, :, 1]
+        view = dot > 0
+        del dot  # freed before the distances: two [T_obs, N, N] buffers at most
+    # a C-contiguous [T_obs, N, 2] copy keeps every later buffer C-ordered,
+    # so each degree row sum adds in the same order as one frame summed alone
+    pos = np.ascontiguousarray(window.positions[:, :t_obs].transpose(1, 0, 2))
     x, y = pos[..., 0], pos[..., 1]
     dist = x[..., :, None] - x[..., None, :]
     dist *= dist
     dy = y[..., :, None] - y[..., None, :]
     dy *= dy
     dist += dy
-    return np.sqrt(dist, out=dist)
-
-
-def build_graph_sequence(window: TrajectoryWindow, cfg: GraphConfig) -> GraphSequence:
-    """Adjacency, degree and normalized matrices of every observed frame.
-
-    One pass over all frames; the [T_obs, N, N] buffers are updated in
-    place so that a large crowd holds few of them at once.
-    """
-    n, t_obs = window.n_peds, window.t_obs
-    # a C-contiguous [T_obs, N, 2] copy keeps every later buffer C-ordered,
-    # so each degree row sum adds in the same order as one frame summed alone
-    dist = _pairwise_dist(
-        np.ascontiguousarray(window.positions[:, :t_obs].transpose(1, 0, 2))
-    )
+    del dy
+    np.sqrt(dist, out=dist)
     # the diagonal distance is exactly 0, so this drops self-edges and
     # coincident pedestrians, whose kernel weight is undefined
     gate = dist != 0.0
-    nb = cfg.neighborhood
-    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
-        v = window.displacements[:, :t_obs].transpose(1, 0, 2)  # [T_obs, N, 2]
-        dot = v[..., :, None, 0] * v[..., None, :, 0]
-        dot += v[..., :, None, 1] * v[..., None, :, 1]
-        gate &= dot > 0
-        del dot
+    if view is not None:
+        gate &= view
     if nb is Neighborhood.VIEW_THRESH:
         gate &= dist < cfg.epsilon
     if nb in (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH):
@@ -137,19 +117,23 @@ def build_graph_sequence(window: TrajectoryWindow, cfg: GraphConfig) -> GraphSeq
     else:
         adjacency = np.exp(np.negative(dist, out=dist), out=dist)
     np.copyto(adjacency, 0.0, where=~gate)
-    diag = (slice(None), np.arange(n), np.arange(n))
     if cfg.self_loops:
-        adjacency[diag] += 1.0
+        adjacency[:, np.arange(n), np.arange(n)] += 1.0
+    return adjacency
 
-    degree = adjacency.sum(axis=2)
+
+def build_graph_sequence(window: TrajectoryWindow, cfg: GraphConfig) -> np.ndarray:
+    """Normalized graph matrices [T_obs, N, N] of every observed frame, built
+    in place in the `graph_adjacency` buffer."""
+    normalized = graph_adjacency(window, cfg)
+    degree = normalized.sum(axis=2)
     # zero-degree guard: isolated nodes keep their (zero or self-loop) row
     d_inv_sqrt = 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0))
     if cfg.normalization is Normalization.PAPER_LAPLACIAN:
         # D - A: subtracting from +0.0 keeps the off-diagonal zeros +0.0
-        normalized = np.subtract(0.0, adjacency)
-        normalized[diag] += degree
-    else:
-        normalized = adjacency.copy()
+        np.subtract(0.0, normalized, out=normalized)
+        i = np.arange(window.n_peds)
+        normalized[:, i, i] += degree
     normalized *= d_inv_sqrt[..., :, None]
     normalized *= d_inv_sqrt[..., None, :]
-    return GraphSequence(adjacency=adjacency, degree=degree, normalized=normalized)
+    return normalized

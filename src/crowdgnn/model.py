@@ -70,6 +70,8 @@ def _drop_fixed(path, section: str, stored: dict, fixed: dict, cls) -> dict:
 
     Any key that is neither fixed nor a field of `cls` is rejected.
     """
+    if not isinstance(stored, dict):
+        raise ValueError(f"{path}: {section} must be an object, got {stored!r}")
     known = {f.name for f in fields(cls)}
     kept = {}
     for key, value in stored.items():
@@ -166,17 +168,24 @@ class ModelParameters:
                 header = json.loads(fh.read(hlen).decode("utf-8"))
             except (struct.error, ValueError) as exc:  # JSON and UTF-8 errors
                 raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
+            if not (isinstance(header, dict) and "format_version" in header
+                    and isinstance(header.get("extra_config"), dict)
+                    and isinstance(header.get("tensors"), list)):
+                raise ValueError(f"{path}: checkpoint header needs a format_version, "
+                                 "an extra_config object and a tensors list")
             if header["format_version"] != CHECKPOINT_VERSION:
                 raise ValueError(
                     f"{path}: unsupported checkpoint version {header['format_version']}"
                 )
             payload = fh.read()
-        cfg = ModelConfig(
-            **_drop_fixed(
-                path, "model_config", header["model_config"], FIXED_MODEL_SETTINGS,
-                ModelConfig,
-            )
-        )
+        kept = _drop_fixed(path, "model_config", header.get("model_config"),
+                           FIXED_MODEL_SETTINGS, ModelConfig)
+        cfg = ModelConfig(**kept)
+        # bool is an int subclass, so JSON true would pass isinstance(..., int)
+        if not (type(cfg.t_obs) is type(cfg.t_pred) is int
+                and cfg.t_obs >= 2 and cfg.t_pred >= 1):
+            raise ValueError(f"{path}: model_config needs integers t_obs >= 2 and "
+                             f"t_pred >= 1, got {cfg.t_obs!r} and {cfg.t_pred!r}")
         extra = header["extra_config"]
         if "graph_config" in extra:
             extra["graph_config"] = _drop_fixed(
@@ -297,8 +306,8 @@ def txp_forward(h: Var, params: ModelParameters) -> Var:
 
 def forward_raw(window, graph_cfg: GraphConfig, params: ModelParameters) -> Var:
     """Window -> raw Gaussian channels [T_pred, N, 5]."""
-    seq = build_graph_sequence(window, graph_cfg)
+    normalized = build_graph_sequence(window, graph_cfg)
     v = Var(window.displacements[:, : window.t_obs].transpose(1, 0, 2))
-    h = st_gcn_forward(v, seq.normalized, params)
+    h = st_gcn_forward(v, normalized, params)
     return txp_forward(h, params)
 

@@ -6,6 +6,7 @@ import pytest
 
 from crowdgnn.cli import main
 from crowdgnn.data import load_windows, save_windows
+from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
 from crowdgnn.model import ModelParameters
 from conftest import random_window
 from test_data import _faulty
@@ -106,6 +107,13 @@ class TestDumpGraph:
         adj = np.array(doc["adjacency"])
         assert adj.shape[0] == 8  # observed frames
         assert np.allclose(adj, np.transpose(adj, (0, 2, 1)))
+        (w,) = [w for w in load_windows(prep_dir / "test.npz")
+                if w.window_id == doc["window_id"]]
+        cfg = GraphConfig(neighborhood="view-thresh", kernel="exp")
+        want = graph_adjacency(w, cfg)
+        assert np.array_equal(adj, want)
+        assert np.array_equal(doc["degree"], want.sum(axis=2))
+        assert np.array_equal(doc["normalized"], build_graph_sequence(w, cfg))
 
     def test_unknown_window_id_errors(self, prep_dir, tmp_path):
         rc = main(
@@ -195,6 +203,27 @@ class TestTrainEval:
         )
         assert rc == 2
         assert f"{bad}: tensor txp.out.b holds non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda h: {k: v for k, v in h.items() if k != "format_version"},
+         lambda h: {k: v for k, v in h.items() if k != "tensors"},
+         lambda h: [h], lambda h: h["model_config"].update(t_obs="8"),
+         lambda h: h.update(model_config=None),
+         lambda h: h["extra_config"]["graph_config"].update(neighborhood="bogus")],
+        ids=["no-format-version", "no-tensors", "list", "t_obs-string",
+             "model_config-null", "bogus-neighborhood"],
+    )
+    def test_malformed_header_names_file(self, scene_dir, ckpt, tmp_path, mutate, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(ckpt.read_bytes())
+        rewrite_header(bad, mutate)
+        rc = main(
+            ["eval", "--ckpt", str(bad), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
 
     def test_invalid_train_config_exit_2(self, scene_dir, tmp_path, capsys):
         for flag, value in (("--batch", "0"), ("--clip-norm", "-1")):

@@ -53,6 +53,15 @@ class TestAdeFde:
         pred = rng.normal(size=(5, 12, 2))
         truth = rng.normal(size=(5, 12, 2))
         assert ade(pred, truth) == pytest.approx(naive_ade(pred, truth), abs=1e-12)
+        # k predictions at once score as k single calls, bit for bit
+        preds = truth + rng.normal(size=(7, 5, 12, 2))
+        for score in (ade, fde):
+            got = score(preds, truth)
+            assert got.shape == (7,)
+            assert np.array_equal(got, [score(p, truth) for p in preds])
+        assert ade(preds, truth) == pytest.approx(
+            [naive_ade(p, truth) for p in preds], abs=1e-12
+        )
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from crowdgnn.data import TrajectoryWindow, compute_displacements
 from crowdgnn.graphs import (
     ApproachSense,
     GraphConfig,
-    GraphSequence,
     Kernel,
     Neighborhood,
     Normalization,
     build_graph_sequence,
+    graph_adjacency,
     social_stgcnn_baseline_config,
 )
 from conftest import random_window
@@ -83,7 +84,7 @@ def kernel_weight(kernel, p, q):
     pos[0], pos[1] = p, q
     w = TrajectoryWindow("pair", 0, pos, compute_displacements(pos), 8, 12)
     cfg = GraphConfig(neighborhood=Neighborhood.COMPLETE, kernel=kernel)
-    return build_graph_sequence(w, cfg).adjacency[0, 0, 1]
+    return graph_adjacency(w, cfg)[0, 0, 1]
 
 
 class TestKernels:
@@ -134,14 +135,14 @@ class TestGates:
     def test_opposite_directions_view_zero(self):
         w = self.two_ped_window((0.4, 0.0), (-0.4, 0.0))
         cfg = GraphConfig(neighborhood=Neighborhood.VIEW)
-        assert build_graph_sequence(w, cfg).adjacency[3, 0, 1] == 0.0
+        assert graph_adjacency(w, cfg)[3, 0, 1] == 0.0
 
     def test_distance_threshold(self):
         w = self.two_ped_window((0.4, 0.0), (0.4, 0.0), offset=(6.0, 0.0))
         thresh = GraphConfig(neighborhood=Neighborhood.VIEW_THRESH, epsilon=5.0)
         view = GraphConfig(neighborhood=Neighborhood.VIEW)
-        assert build_graph_sequence(w, thresh).adjacency[3, 0, 1] == 0.0
-        assert build_graph_sequence(w, view).adjacency[3, 0, 1] > 0.0
+        assert graph_adjacency(w, thresh)[3, 0, 1] == 0.0
+        assert graph_adjacency(w, view)[3, 0, 1] > 0.0
 
     def test_approach_sense_variants(self):
         # head-on: distance strictly decreasing over observed frames
@@ -152,8 +153,8 @@ class TestGates:
         printed = GraphConfig(
             neighborhood=Neighborhood.APPROACH, approach_sense=ApproachSense.AS_PRINTED
         )
-        assert build_graph_sequence(w, prose).adjacency[3, 0, 1] > 0.0
-        assert build_graph_sequence(w, printed).adjacency[3, 0, 1] == 0.0
+        assert graph_adjacency(w, prose)[3, 0, 1] > 0.0
+        assert graph_adjacency(w, printed)[3, 0, 1] == 0.0
 
     def test_last_observed_frame_uses_backward_change(self):
         w = self.two_ped_window((0.2, 0.0), (-0.2, 0.0), offset=(10.0, 0.0))
@@ -161,7 +162,7 @@ class TestGates:
             neighborhood=Neighborhood.APPROACH, approach_sense=ApproachSense.AS_PROSE
         )
         # approaching throughout, so the gate holds at the final observed frame too
-        assert build_graph_sequence(w, cfg).adjacency[w.t_obs - 1, 0, 1] > 0.0
+        assert graph_adjacency(w, cfg)[w.t_obs - 1, 0, 1] > 0.0
 
     def test_matrix_matches_oracle_exactly(self, rng):
         for trial in range(10):
@@ -172,9 +173,9 @@ class TestGates:
                         cfg = GraphConfig(
                             neighborhood=nb, kernel=kern, approach_sense=sense
                         )
-                        seq = build_graph_sequence(w, cfg)
+                        adjacency = graph_adjacency(w, cfg)
                         for t in (0, 3, w.t_obs - 1):
-                            got = seq.adjacency[t]
+                            got = adjacency[t]
                             want = oracle_adjacency(w, t, cfg)
                             assert np.array_equal(got, want), (nb, kern, sense, t)
 
@@ -185,14 +186,14 @@ class TestGates:
         for nb in ALL_NEIGHBORHOODS:
             for kern in Kernel:
                 cfg = GraphConfig(neighborhood=nb, kernel=kern)
-                a = build_graph_sequence(w, cfg).adjacency[4]
+                a = graph_adjacency(w, cfg)[4]
                 assert np.max(np.abs(a - a.T)) == 0.0
 
     def test_gate_nesting(self, rng):
         for _ in range(5):
             w = random_window(rng, n_peds=6)
             view, thresh, appr, both = (
-                build_graph_sequence(w, GraphConfig(neighborhood=nb)).adjacency
+                graph_adjacency(w, GraphConfig(neighborhood=nb))
                 for nb in (
                     Neighborhood.VIEW,
                     Neighborhood.VIEW_THRESH,
@@ -264,9 +265,9 @@ class TestWholeWindowBuilder:
             key = (cfg.neighborhood, cfg.kernel, sense)
             if key not in oracle:
                 oracle[key] = [oracle_adjacency(w, t, cfg) for t in range(t_obs)]
-            seq = build_graph_sequence(w, cfg)
+            adjacency = graph_adjacency(w, cfg)
             want = oracle_sequence(w, cfg, oracle[key])
-            got = (seq.adjacency, seq.degree, seq.normalized)
+            got = (adjacency, adjacency.sum(axis=2), build_graph_sequence(w, cfg))
             for name, g, e in zip(("adjacency", "degree", "normalized"), got, want):
                 assert np.array_equal(g, e), (name, cfg)
                 assert np.array_equal(np.signbit(g), np.signbit(e)), (name, cfg)
@@ -278,12 +279,31 @@ class TestWholeWindowBuilder:
             "perm", 0, w.positions[perm], w.displacements[perm], w.t_obs, w.t_pred
         )
         for cfg in all_configs():
-            seq, pseq = build_graph_sequence(w, cfg), build_graph_sequence(pw, cfg)
-            assert np.array_equal(pseq.adjacency, seq.adjacency[:, perm][:, :, perm])
-            assert np.max(np.abs(pseq.degree - seq.degree[:, perm])) <= 1e-12
-            assert np.max(
-                np.abs(pseq.normalized - seq.normalized[:, perm][:, :, perm])
-            ) <= 1e-12
+            adj, padj = graph_adjacency(w, cfg), graph_adjacency(pw, cfg)
+            assert np.array_equal(padj, adj[:, perm][:, :, perm])
+            degree, pdegree = adj.sum(axis=2), padj.sum(axis=2)
+            assert np.max(np.abs(pdegree - degree[:, perm])) <= 1e-12
+            norm, pnorm = build_graph_sequence(w, cfg), build_graph_sequence(pw, cfg)
+            assert np.max(np.abs(pnorm - norm[:, perm][:, :, perm])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [GraphConfig(neighborhood=Neighborhood.VIEW_APPROACH, kernel=Kernel.EXP_DECAY),
+         GraphConfig(neighborhood=Neighborhood.VIEW_THRESH, kernel=Kernel.INVERSE_NORM),
+         social_stgcnn_baseline_config()],
+        ids=["view-approach-exp", "view-thresh-inv", "baseline"],
+    )
+    def test_peak_memory_below_two_and_a_half_graphs(self, cfg):
+        # at most two [T_obs, N, N] float64 buffers live at once, plus bool gates
+        w = random_window(np.random.default_rng(0), n_peds=200, t_obs=8)
+        tracemalloc.start()
+        try:
+            build_graph_sequence(w, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * w.t_obs * w.n_peds**2 * 8
+
 
 class TestLaplacian:
     def test_two_node_normalized_closed_form(self, rng):
@@ -295,25 +315,27 @@ class TestLaplacian:
             pos[1, :, 0] = d
             pos[:, :, 1] = 0.1 * np.arange(20)[None, :]  # both moving +y
             win = TrajectoryWindow("two", 0, pos, compute_displacements(pos), 8, 12)
-            seq = build_graph_sequence(win, GraphConfig(neighborhood=Neighborhood.VIEW))
+            norm = build_graph_sequence(win, GraphConfig(neighborhood=Neighborhood.VIEW))
             for t in range(1, win.t_obs):
                 assert np.allclose(
-                    seq.normalized[t], [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12
+                    norm[t], [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12
                 )
 
     def test_unnormalized_rows_sum_zero(self, rng):
         w = random_window(rng, n_peds=7)
-        seq = build_graph_sequence(w, GraphConfig(neighborhood=Neighborhood.COMPLETE))
+        adjacency = graph_adjacency(w, GraphConfig(neighborhood=Neighborhood.COMPLETE))
+        degree = adjacency.sum(axis=2)
         for t in range(w.t_obs):
-            lap = np.diag(seq.degree[t]) - seq.adjacency[t]
+            lap = np.diag(degree[t]) - adjacency[t]
             assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
 
     def test_degree_equals_row_sums(self, rng):
         w = random_window(rng, n_peds=10)
-        seq = build_graph_sequence(w, GraphConfig())
+        adjacency = graph_adjacency(w, GraphConfig())
+        degree = adjacency.sum(axis=2)
         for t in range(w.t_obs):
             assert np.allclose(
-                seq.degree[t], seq.adjacency[t].sum(axis=1), atol=1e-12
+                degree[t], adjacency[t].sum(axis=1), atol=1e-12
             )
 
     def test_isolated_node_self_loop_row(self):
@@ -329,31 +351,31 @@ class TestLaplacian:
             self_loops=True,
             normalization=Normalization.SYMMETRIC_ADJACENCY,
         )
-        seq = build_graph_sequence(w, cfg)
+        adjacency, norm = graph_adjacency(w, cfg), build_graph_sequence(w, cfg)
         t = 3
-        assert seq.adjacency[t, 2, 0] == 0.0 and seq.adjacency[t, 2, 1] == 0.0
-        assert np.allclose(seq.normalized[t, 2], [0.0, 0.0, 1.0])
+        assert adjacency[t, 2, 0] == 0.0 and adjacency[t, 2, 1] == 0.0
+        assert np.allclose(norm[t, 2], [0.0, 0.0, 1.0])
 
     def test_isolated_node_zero_row_without_self_loops(self):
         pos = np.zeros((2, 20, 2))
         pos[0, :, 0] = 0.3 * np.arange(20)
         pos[1, :, 0] = 10.0 - 0.3 * np.arange(20)
         w = TrajectoryWindow("iso2", 0, pos, compute_displacements(pos), 8, 12)
-        seq = build_graph_sequence(w, GraphConfig(neighborhood=Neighborhood.VIEW))
-        assert np.all(np.isfinite(seq.normalized))
-        assert np.allclose(seq.adjacency[3], 0.0)
+        cfg = GraphConfig(neighborhood=Neighborhood.VIEW)
+        assert np.all(np.isfinite(build_graph_sequence(w, cfg)))
+        assert np.allclose(graph_adjacency(w, cfg)[3], 0.0)
 
     def test_baseline_config_regression(self, rng):
         # complete graph + inverse norm + self-loops + normalized adjacency
         w = random_window(rng, n_peds=4)
         cfg = social_stgcnn_baseline_config()
-        seq = build_graph_sequence(w, cfg)
+        norm = build_graph_sequence(w, cfg)
         t = 2
         a = oracle_adjacency(w, t, GraphConfig(neighborhood=Neighborhood.COMPLETE))
         a = a + np.eye(4)
         d = a.sum(axis=1)
         want = a / np.sqrt(np.outer(d, d))
-        assert np.allclose(seq.normalized[t], want, atol=1e-12)
+        assert np.allclose(norm[t], want, atol=1e-12)
 
     def test_epsilon_must_be_positive(self):
         for epsilon in (0.0, -1.0, float("nan")):
