@@ -1,27 +1,16 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
-Only the operations the trajectory network needs are implemented. All
-arithmetic is float64; gradients are accumulated into ``.grad`` buffers of
-the same shape as ``.data``.
+The tape holds only what the fixed model records: parameter leaves, a
+same-shape sum and PReLU. The ST-GCN layer, the convolutions and the
+Gaussian head are single ops with hand-written backwards (``model`` and
+``gaussian``). All arithmetic is float64; gradients are accumulated into
+``.grad`` buffers of the same shape as ``.data``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["Var", "prelu"]
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 class Var:
@@ -45,81 +34,13 @@ class Var:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
-    @staticmethod
-    def _lift(x) -> "Var":
-        return x if isinstance(x, Var) else Var(x)
-
-    # ---- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        other = Var._lift(other)
+    def __add__(self, other: "Var") -> "Var":
+        """Same-shape sum of two nodes (the TXP residual)."""
         out = Var(self.data + other.data, (self, other))
 
         def bw(g):
-            self._ensure_grad()[...] += _unbroadcast(g, self.data.shape)
-            other._ensure_grad()[...] += _unbroadcast(g, other.data.shape)
-
-        out._backward = bw
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = Var._lift(other)
-        out = Var(self.data * other.data, (self, other))
-
-        def bw(g):
-            self._ensure_grad()[...] += _unbroadcast(g * other.data, self.data.shape)
-            other._ensure_grad()[...] += _unbroadcast(g * self.data, other.data.shape)
-
-        out._backward = bw
-        return out
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = Var._lift(other)
-        out = Var(self.data @ other.data, (self, other))
-
-        def bw(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            self._ensure_grad()[...] += _unbroadcast(ga, self.data.shape)
-            other._ensure_grad()[...] += _unbroadcast(gb, other.data.shape)
-
-        out._backward = bw
-        return out
-
-    # ---- shape ops -------------------------------------------------------
-
-    def reshape(self, *shape):
-        out = Var(self.data.reshape(*shape), (self,))
-        out._backward = lambda g: self._ensure_grad().__iadd__(
-            g.reshape(self.data.shape)
-        )
-        return out
-
-    def __getitem__(self, idx):
-        """Basic indexing only (ints, slices, Ellipsis): each element is
-        selected at most once, so the backward is a plain slice-add."""
-        out = Var(self.data[idx], (self,))
-
-        def bw(g):
-            self._ensure_grad()[idx] += g
-
-        out._backward = bw
-        return out
-
-    # ---- reductions ------------------------------------------------------
-
-    def sum(self, axis=None):
-        out = Var(self.data.sum(axis=axis), (self,))
-
-        def bw(g):
-            if axis is None:
-                self._ensure_grad()[...] += g
-            else:
-                self._ensure_grad()[...] += np.expand_dims(g, axis)
+            self._ensure_grad()[...] += g
+            other._ensure_grad()[...] += g
 
         out._backward = bw
         return out

@@ -11,6 +11,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,7 @@ class TrajectoryParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RawTrack:
+class RawTrack(NamedTuple):
     frame_id: int
     ped_id: int
     x: float
@@ -97,7 +97,7 @@ def parse_trajectory_file(path) -> list[RawTrack]:
                 )
             seen.add(key)
             tracks.append(RawTrack(frame_id, ped_id, x, y))
-    tracks.sort(key=lambda r: (r.frame_id, r.ped_id))
+    tracks.sort()  # (frame, ped) is unique, so x and y are never compared
     return tracks
 
 

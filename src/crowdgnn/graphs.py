@@ -55,8 +55,12 @@ class GraphConfig:
         self.kernel = Kernel(self.kernel)
         self.approach_sense = ApproachSense(self.approach_sense)
         self.normalization = Normalization(self.normalization)
-        if not self.epsilon > 0:  # also rejects NaN
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        # bool is an int subclass, so JSON true would pass as a number
+        if (isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float))
+                or not self.epsilon > 0):  # also rejects NaN
+            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
+        if not isinstance(self.self_loops, bool):
+            raise ValueError(f"self_loops must be a bool, got {self.self_loops!r}")
 
     def to_dict(self) -> dict:
         return {k: v.value if isinstance(v, Enum) else v for k, v in self.__dict__.items()}

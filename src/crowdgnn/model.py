@@ -65,6 +65,11 @@ def _tensor_table(shapes) -> list[dict]:
     return table
 
 
+def _same(a, b) -> bool:
+    """`a == b` with JSON types compared too: `true` and `1.0` are not `1`."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def _drop_fixed(path, section: str, stored: dict, fixed: dict, cls) -> dict:
     """`stored` without the settings in `fixed`, which must hold their value.
 
@@ -79,7 +84,7 @@ def _drop_fixed(path, section: str, stored: dict, fixed: dict, cls) -> dict:
             kept[key] = value
         elif key not in fixed:
             raise ValueError(f"{path}: unknown {section} key {key!r} = {value!r}")
-        elif value != fixed[key]:
+        elif not _same(value, fixed[key]):
             raise ValueError(
                 f"{path}: {section} key {key!r} = {value!r}, but the "
                 f"architecture fixes it at {fixed[key]!r}"
@@ -173,7 +178,7 @@ class ModelParameters:
                     and isinstance(header.get("tensors"), list)):
                 raise ValueError(f"{path}: checkpoint header needs a format_version, "
                                  "an extra_config object and a tensors list")
-            if header["format_version"] != CHECKPOINT_VERSION:
+            if not _same(header["format_version"], CHECKPOINT_VERSION):
                 raise ValueError(
                     f"{path}: unsupported checkpoint version {header['format_version']}"
                 )
@@ -195,7 +200,7 @@ class ModelParameters:
         params = cls(cfg)
         want = _tensor_table((name, v.data.shape) for name, v in params.items())
         for got_entry, want_entry in zip_longest(header["tensors"], want):
-            if got_entry != want_entry:
+            if not _same(got_entry, want_entry):
                 raise ValueError(
                     f"{path}: tensor table entry {got_entry} does not match "
                     f"the model's {want_entry}"
@@ -235,28 +240,6 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(c_out, h, wd), cols
 
 
-def _temporal_conv(x: Var, w: Var, b: Var) -> Var:
-    """1D conv over the leading time axis, symmetric zero padding, one tape op.
-
-    x: [T, N, C], w: [K, C, C], b: [C]; stride 1, same output length. This
-    is the (K x 1) correlation over the (T, N) plane with C as channels.
-    """
-    wk = w.data.transpose(2, 1, 0)[..., None]  # [C_out, C_in, K, 1]
-    y, cols = _correlate(x.data.transpose(2, 0, 1), wk)
-    out = Var(y.transpose(1, 2, 0) + b.data, (x, w, b))
-
-    def bw(g):
-        gc = g.transpose(2, 0, 1)
-        g2 = gc.reshape(len(gc), -1)
-        w._ensure_grad()[...] += (g2 @ cols.T).reshape(wk.shape[:3]).transpose(2, 1, 0)
-        b._ensure_grad()[...] += g2.sum(axis=1)
-        gx = _correlate(gc, wk[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
-        x._ensure_grad()[...] += gx.transpose(1, 2, 0)
-
-    out._backward = bw
-    return out
-
-
 def _plane_conv(x: Var, w: Var, b: Var) -> Var:
     """2D conv over the trailing (N, F) plane with time-as-channels, one tape op.
 
@@ -275,18 +258,46 @@ def _plane_conv(x: Var, w: Var, b: Var) -> Var:
     return out
 
 
-def st_gcn_forward(v: Var, normalized: np.ndarray, params: ModelParameters) -> Var:
-    """v: [T_obs, N, C_in], normalized: [T_obs, N, N] -> [T_obs, N, C]."""
+def st_gcn_forward(v: np.ndarray, normalized: np.ndarray, params: ModelParameters) -> Var:
+    """v: [T_obs, N, C_in], normalized: [T_obs, N, N] -> [T_obs, N, C], one tape op.
+
+    Graph mixing, PReLU, the (K x 1) correlation over the (T, N) plane with
+    C as channels, then the residual projection. `v` and `normalized` are
+    constants: the backward reaches only the seven stgcn.* parameters.
+    """
     if v.shape[0] != normalized.shape[0] or v.shape[1] != normalized.shape[1]:
         raise ValueError(
             f"shape mismatch: features {v.shape} vs graphs {normalized.shape}"
         )
-    x = v @ params["stgcn.w_spatial"] + params["stgcn.b_spatial"]
-    x = Var(normalized) @ x
-    x = prelu(x, params["stgcn.prelu"])
-    x = _temporal_conv(x, params["stgcn.w_temporal"], params["stgcn.b_temporal"])
-    res = v @ params["stgcn.w_residual"] + params["stgcn.b_residual"]
-    return x + res
+    ws, bs = params["stgcn.w_spatial"], params["stgcn.b_spatial"]
+    wt, bt = params["stgcn.w_temporal"], params["stgcn.b_temporal"]
+    wr, br = params["stgcn.w_residual"], params["stgcn.b_residual"]
+    slope = params["stgcn.prelu"]
+    pre = normalized @ (v @ ws.data + bs.data)
+    pos = pre > 0
+    act = np.where(pos, pre, slope.data * pre)
+    wk = wt.data.transpose(2, 1, 0)[..., None]  # [C_out, C_in, K, 1]
+    y, cols = _correlate(act.transpose(2, 0, 1), wk)
+    out = Var(y.transpose(1, 2, 0) + bt.data + (v @ wr.data + br.data),
+              (ws, bs, wt, bt, wr, br, slope))
+
+    def bw(g):
+        vt = np.swapaxes(v, -1, -2)
+        gb = g.sum(axis=(0, 1))
+        br._ensure_grad()[...] += gb
+        wr._ensure_grad()[...] += (vt @ g).sum(axis=0)
+        bt._ensure_grad()[...] += gb
+        gw = cols @ g.reshape(-1, g.shape[-1])  # rows (c_in, k), columns c_out
+        wt._ensure_grad()[...] += gw.reshape(wt.shape[1], wt.shape[0], -1).swapaxes(0, 1)
+        gact = _correlate(g.transpose(2, 0, 1), wk[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
+        gact = gact.transpose(1, 2, 0)
+        slope._ensure_grad()[...] += np.sum(gact * np.where(pos, 0.0, pre))
+        gmix = np.swapaxes(normalized, -1, -2) @ (gact * np.where(pos, 1.0, slope.data))
+        bs._ensure_grad()[...] += gmix.sum(axis=(0, 1))
+        ws._ensure_grad()[...] += (vt @ gmix).sum(axis=0)
+
+    out._backward = bw
+    return out
 
 
 def txp_forward(h: Var, params: ModelParameters) -> Var:
@@ -307,7 +318,7 @@ def txp_forward(h: Var, params: ModelParameters) -> Var:
 def forward_raw(window, graph_cfg: GraphConfig, params: ModelParameters) -> Var:
     """Window -> raw Gaussian channels [T_pred, N, 5]."""
     normalized = build_graph_sequence(window, graph_cfg)
-    v = Var(window.displacements[:, : window.t_obs].transpose(1, 0, 2))
+    v = window.displacements[:, : window.t_obs].transpose(1, 0, 2)
     h = st_gcn_forward(v, normalized, params)
     return txp_forward(h, params)
 

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
+from crowdgnn.autodiff import Var
 from crowdgnn.data import TrajectoryWindow, compute_displacements
+
+
+def weighted_sum(x: Var, u) -> Var:
+    """Scalar head sum(x * u) as one tape op; `u` is a constant."""
+
+    def bw(g):
+        x._ensure_grad()[...] += g * u
+
+    return Var(np.sum(x.data * u), (x,), bw)
 
 
 def random_window(

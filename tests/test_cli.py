@@ -210,9 +210,21 @@ class TestTrainEval:
          lambda h: {k: v for k, v in h.items() if k != "tensors"},
          lambda h: [h], lambda h: h["model_config"].update(t_obs="8"),
          lambda h: h.update(model_config=None),
-         lambda h: h["extra_config"]["graph_config"].update(neighborhood="bogus")],
+         lambda h: h["extra_config"]["graph_config"].update(neighborhood="bogus"),
+         # JSON true and 1.0 compare equal to 1, and 0 to false, in Python
+         lambda h: h.update(format_version=True),
+         lambda h: h.update(format_version=1.0),
+         lambda h: h["tensors"][1].update(offset=float(h["tensors"][1]["offset"])),
+         lambda h: h["tensors"][0].update(shape=[2.0, 5.0]),
+         lambda h: h["model_config"].update(txp_layers=5.0),
+         lambda h: h["model_config"].update(stgcn_residual=1),
+         lambda h: h["extra_config"]["graph_config"].update(bearing_gate=0),
+         lambda h: h["extra_config"]["graph_config"].update(epsilon=True),
+         lambda h: h["extra_config"]["graph_config"].update(self_loops=1)],
         ids=["no-format-version", "no-tensors", "list", "t_obs-string",
-             "model_config-null", "bogus-neighborhood"],
+             "model_config-null", "bogus-neighborhood", "format_version-true",
+             "format_version-float", "offset-float", "shape-float", "txp_layers-float",
+             "stgcn_residual-int", "bearing_gate-int", "epsilon-true", "self_loops-int"],
     )
     def test_malformed_header_names_file(self, scene_dir, ckpt, tmp_path, mutate, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -17,13 +17,12 @@ from crowdgnn.model import (
     ModelConfig,
     ModelParameters,
     _plane_conv,
-    _temporal_conv,
     forward_raw,
     st_gcn_forward,
     txp_forward,
 )
 from crowdgnn.train import window_nll
-from conftest import random_window
+from conftest import random_window, weighted_sum
 
 
 def small_params():
@@ -37,15 +36,15 @@ def zero_params() -> ModelParameters:
     return p
 
 
-# ---- independent triple-loop oracle for the ST-GCN forward ------------------
+# ---- independent loop oracles for the ST-GCN forward and backward -----------
 
 
-def stgcn_oracle(v, normalized, p: ModelParameters):
+def stgcn_mix_oracle(v, normalized, p: ModelParameters):
+    """Graph mixing before the PReLU: normalized @ (v @ w_spatial + b_spatial)."""
     t_obs, n, c_in = v.shape
     c = GAUSSIAN_CHANNELS
     ws = p["stgcn.w_spatial"].data
     bs = p["stgcn.b_spatial"].data
-    slope = float(p["stgcn.prelu"].data)
     pre = np.zeros((t_obs, n, c))
     for t in range(t_obs):
         for i in range(n):
@@ -57,6 +56,14 @@ def stgcn_oracle(v, normalized, p: ModelParameters):
                         inner += v[t, j, ci] * ws[ci, co]
                     acc += normalized[t, i, j] * inner
                 pre[t, i, co] = acc
+    return pre
+
+
+def stgcn_oracle(v, normalized, p: ModelParameters):
+    t_obs, n, c_in = v.shape
+    c = GAUSSIAN_CHANNELS
+    pre = stgcn_mix_oracle(v, normalized, p)
+    slope = float(p["stgcn.prelu"].data)
     act = np.where(pre > 0, pre, slope * pre)
     wt = p["stgcn.w_temporal"].data
     bt = p["stgcn.b_temporal"].data
@@ -85,45 +92,79 @@ def stgcn_oracle(v, normalized, p: ModelParameters):
     return out
 
 
-# ---- per-offset tape loops: oracle for the fused im2col convolutions --------
-
-
-def pad_oracle(x: Var, pad_width) -> Var:
-    """Zero padding as a tape op; `pad_width` as for np.pad."""
-    sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, x.shape))
-
-    def bw(g):
-        x._ensure_grad()[...] += g[sl]
-
-    return Var(np.pad(x.data, pad_width), (x,), bw)
-
-
-def temporal_conv_oracle(x: Var, w: Var, b: Var) -> Var:
-    """One shifted slice -> matmul -> add per kernel tap."""
-    k = w.shape[0]
+def stgcn_vjp_oracle(v, normalized, p: ModelParameters, u) -> dict:
+    """Gradients of sum(st_gcn_forward(v, normalized) * u) per stgcn.* tensor."""
+    t_obs, n, c_in = v.shape
+    c = GAUSSIAN_CHANNELS
+    pre = stgcn_mix_oracle(v, normalized, p)
+    slope = float(p["stgcn.prelu"].data)
+    act = np.where(pre > 0, pre, slope * pre)
+    wt = p["stgcn.w_temporal"].data
+    k = wt.shape[0]
     pad = k // 2
-    t = x.shape[0]
-    xp = pad_oracle(x, ((pad, pad), (0, 0), (0, 0)))
-    out = None
-    for j in range(k):
-        term = xp[j : j + t] @ w[j]
-        out = term if out is None else out + term
-    return out + b
+    grads = {name: np.zeros_like(p[name].data) for name in (
+        "stgcn.w_spatial", "stgcn.b_spatial", "stgcn.w_temporal", "stgcn.b_temporal",
+        "stgcn.w_residual", "stgcn.b_residual", "stgcn.prelu")}
+    gact = np.zeros((t_obs, n, c))
+    for t in range(t_obs):
+        for i in range(n):
+            for co in range(c):
+                g = u[t, i, co]
+                grads["stgcn.b_temporal"][co] += g
+                grads["stgcn.b_residual"][co] += g
+                for ci in range(c_in):
+                    grads["stgcn.w_residual"][ci, co] += v[t, i, ci] * g
+                for dk in range(k):
+                    src = t + dk - pad
+                    if 0 <= src < t_obs:
+                        for ci in range(c):
+                            grads["stgcn.w_temporal"][dk, ci, co] += act[src, i, ci] * g
+                            gact[src, i, ci] += wt[dk, ci, co] * g
+    gpre = np.zeros_like(gact)
+    for t in range(t_obs):
+        for i in range(n):
+            for ci in range(c):
+                if pre[t, i, ci] > 0:
+                    gpre[t, i, ci] = gact[t, i, ci]
+                else:
+                    gpre[t, i, ci] = slope * gact[t, i, ci]
+                    grads["stgcn.prelu"][()] += pre[t, i, ci] * gact[t, i, ci]
+    for t in range(t_obs):
+        for i in range(n):
+            for j in range(n):
+                for co in range(c):
+                    g = normalized[t, i, j] * gpre[t, i, co]
+                    grads["stgcn.b_spatial"][co] += g
+                    for ci in range(c_in):
+                        grads["stgcn.w_spatial"][ci, co] += v[t, j, ci] * g
+    return grads
 
 
-def plane_conv_oracle(x: Var, w: Var, b: Var) -> Var:
-    """One shifted slice -> reshape -> matmul -> add per (dn, df) tap."""
+# ---- per-tap numpy loops: oracle for the fused im2col plane conv ------------
+
+
+def plane_conv_oracle(x, w, b, u):
+    """Output and the gradients of sum(out * u) for x, w, b.
+
+    The forward gathers a shifted slice per (dn, df) tap; the input and
+    weight gradients scatter back per tap.
+    """
     c_out, c_in, k, _ = w.shape
     pad = k // 2
-    n, f = x.shape[1], x.shape[2]
-    xp = pad_oracle(x, ((0, 0), (pad, pad), (pad, pad)))
-    out = None
+    _, n, f = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((c_out, n * f))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    u2 = u.reshape(c_out, n * f)
     for dn in range(k):
         for df in range(k):
             patch = xp[:, dn : dn + n, df : df + f].reshape(c_in, n * f)
-            term = w[:, :, dn, df] @ patch
-            out = term if out is None else out + term
-    return (out + b.reshape(c_out, 1)).reshape(c_out, n, f)
+            out += w[:, :, dn, df] @ patch
+            gw[:, :, dn, df] = u2 @ patch.T
+            gxp[:, dn : dn + n, df : df + f] += (w[:, :, dn, df].T @ u2).reshape(c_in, n, f)
+    out = out.reshape(c_out, n, f) + b[:, None, None]
+    return out, gxp[:, pad : pad + n, pad : pad + f], gw, u.sum(axis=(1, 2))
 
 
 def assert_rel_close(got, want, rel=1e-12):
@@ -132,35 +173,37 @@ def assert_rel_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * scale
 
 
-CONV_CASES = {
-    # name: (fused, oracle, w shape, C_out); x is [8, N, 5], read as [T, N, C]
-    # by the temporal conv and as [C_in, N, F] by the plane conv
-    "temporal": (_temporal_conv, temporal_conv_oracle, (3, 5, 5), 5),
-    "plane": (_plane_conv, plane_conv_oracle, (12, 8, 3, 3), 12),
-}
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 200])  # N=1 is narrower than the kernel
-@pytest.mark.parametrize("kind", sorted(CONV_CASES))
-def test_fused_conv_matches_per_offset_oracle(rng, kind, n):
-    fused, oracle, w_shape, c_out = CONV_CASES[kind]
-    arrays = [rng.normal(size=(8, n, 5)), rng.normal(size=w_shape), rng.normal(size=c_out)]
-    upstream = None
-    results = []
-    for conv in (fused, oracle):
-        x, w, b = (Var(a.copy()) for a in arrays)
-        out = conv(x, w, b)
-        if upstream is None:
-            upstream = rng.normal(size=out.shape)
-        (out * upstream).sum().backward()
-        results.append((out.data, x.grad, w.grad, b.grad))
-    for got, want in zip(*results):
+@pytest.mark.parametrize("n", [1, 2, 5, 200], ids="plane-{}".format)  # N=1 < kernel
+def test_fused_conv_matches_per_offset_oracle(rng, n):
+    x, w, b = rng.normal(size=(8, n, 5)), rng.normal(size=(12, 8, 3, 3)), rng.normal(size=12)
+    u = rng.normal(size=(12, n, 5))
+    xv, wv, bv = Var(x.copy()), Var(w.copy()), Var(b.copy())
+    out = _plane_conv(xv, wv, bv)
+    weighted_sum(out, u).backward()
+    fused = (out.data, xv.grad, wv.grad, bv.grad)
+    for got, want in zip(fused, plane_conv_oracle(x, w, b, u)):
         assert got.shape == want.shape
         assert_rel_close(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_stgcn_backward_matches_loop_oracle(rng, n):
+    p = small_params()
+    v = rng.normal(size=(8, n, IN_FEATURES))
+    normalized = rng.normal(size=(8, n, n))  # asymmetric: the transpose matters
+    u = rng.normal(size=(8, n, GAUSSIAN_CHANNELS))
+    out = st_gcn_forward(v, normalized, p)
+    assert_rel_close(out.data, stgcn_oracle(v, normalized, p))
+    weighted_sum(out, u).backward()
+    for name, want in stgcn_vjp_oracle(v, normalized, p, u).items():
+        assert p[name].grad.shape == want.shape
+        assert_rel_close(p[name].grad, want)
+    assert all(t.grad is None for name, t in p.items() if name.startswith("txp."))
+
+
 def test_forward_tape_size(rng, monkeypatch):
-    # one node per layer op: the convolutions are single im2col ops
+    # one node per layer op: the ST-GCN layer and each convolution are single
+    # ops, the PReLUs and residual sums of the TXP stack one node each
     created = 0
     init = Var.__init__
 
@@ -173,12 +216,12 @@ def test_forward_tape_size(rng, monkeypatch):
     p = small_params()
     monkeypatch.setattr(Var, "__init__", counting_init)
     forward_raw(w, GraphConfig(), p)
-    assert created == 25
+    assert created == 16
     # the Gaussian head adds one node: constrain + NLL + mean are one op, and
     # the 1/B batch weight is the backward seed, so this is a trained window
     created = 0
     window_nll(w, GraphConfig(), p)
-    assert created == 26
+    assert created == 17
 
 
 class TestStGcn:
@@ -189,7 +232,7 @@ class TestStGcn:
         p["stgcn.prelu"].data = np.array(1.0)
         v = np.random.default_rng(0).normal(size=(8, 1, IN_FEATURES))
         normalized = np.ones((8, 1, 1))  # self-loop identity normalization
-        out = st_gcn_forward(Var(v), normalized, p)
+        out = st_gcn_forward(v, normalized, p)
         assert np.allclose(out.data[..., :IN_FEATURES], v, atol=1e-12)
         assert np.all(out.data[..., IN_FEATURES:] == 0.0)
 
@@ -198,21 +241,21 @@ class TestStGcn:
         for name in ("stgcn.b_temporal", "stgcn.w_residual", "stgcn.b_residual"):
             p[name].data = np.zeros_like(p[name].data)
         v = rng.normal(size=(8, 3, 2))
-        out = st_gcn_forward(Var(v), np.zeros((8, 3, 3)), p)
+        out = st_gcn_forward(v, np.zeros((8, 3, 3)), p)
         assert np.allclose(out.data, 0.0)
 
     def test_matches_triple_loop_oracle(self, rng):
         p = small_params()
         v = rng.normal(size=(8, 3, 2))
         normalized = rng.normal(size=(8, 3, 3))
-        got = st_gcn_forward(Var(v), normalized, p).data
+        got = st_gcn_forward(v, normalized, p).data
         want = stgcn_oracle(v, normalized, p)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_shape_mismatch_raises(self, rng):
         p = small_params()
         with pytest.raises(ValueError):
-            st_gcn_forward(Var(rng.normal(size=(8, 3, 2))), np.zeros((8, 4, 4)), p)
+            st_gcn_forward(rng.normal(size=(8, 3, 2)), np.zeros((8, 4, 4)), p)
 
     def test_permutation_equivariance(self, rng):
         p = small_params()
@@ -220,9 +263,9 @@ class TestStGcn:
         normalized = rng.normal(size=(8, 5, 5))
         normalized = normalized + normalized.transpose(0, 2, 1)
         perm = rng.permutation(5)
-        out = st_gcn_forward(Var(v), normalized, p).data
+        out = st_gcn_forward(v, normalized, p).data
         out_p = st_gcn_forward(
-            Var(v[:, perm]), normalized[:, perm][:, :, perm], p
+            v[:, perm], normalized[:, perm][:, :, perm], p
         ).data
         # equality up to summation-order rounding in the matrix products
         assert np.allclose(out[:, perm], out_p, rtol=1e-13, atol=1e-13)
@@ -297,16 +340,6 @@ class TestSummary:
 
 
 class TestBackward:
-    def test_sum_of_parameters_grads_all_one(self):
-        p = small_params()
-        total = None
-        for _, v in p.items():
-            s = v.sum() if v.data.shape else v * 1.0
-            total = s if total is None else total + s
-        total.backward()
-        for _, v in p.items():
-            assert np.allclose(v.grad, 1.0)
-
     def test_end_to_end_finite_differences(self, rng):
         w = random_window(rng, n_peds=3)
         p = small_params()

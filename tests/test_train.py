@@ -13,7 +13,7 @@ from crowdgnn.train import (
     window_nll,
     write_history_csv,
 )
-from conftest import crossing_window, random_window
+from conftest import crossing_window, random_window, weighted_sum
 
 
 def tiny_split(rng, n_train=4, n_val=2):
@@ -101,7 +101,7 @@ class TestTrainLoop:
         for scaled in (False, True):
             p = ModelParameters(ModelConfig(), seed=3)
             if scaled:
-                (window_nll(w, GraphConfig(), p) * seed).backward()
+                weighted_sum(window_nll(w, GraphConfig(), p), seed).backward()
             else:
                 window_nll(w, GraphConfig(), p).backward(seed)
             grads.append({name: v.grad for name, v in p.items()})
