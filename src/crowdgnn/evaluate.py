@@ -15,6 +15,10 @@ from .model import ModelParameters, forward_raw
 REPORT_SCHEMA_VERSION = 1
 
 
+class PredictionDiverged(RuntimeError):
+    """The model's raw output for a window is not finite."""
+
+
 @dataclass
 class WindowMetrics:
     window_id: str
@@ -71,7 +75,11 @@ def predict_gaussians(
     window: TrajectoryWindow, graph_cfg: GraphConfig, params: ModelParameters
 ) -> GaussianParams:
     """Deterministic forward pass -> displacement-space Gaussians [N, T_pred]."""
-    mu, sigma, rho = constrain(forward_raw(window, graph_cfg, params).data)
+    raw = forward_raw(window, graph_cfg, params).data
+    try:
+        mu, sigma, rho = constrain(raw)
+    except ValueError as exc:
+        raise PredictionDiverged(f"window {window.window_id}: {exc}") from exc
     # [T_pred, N, ...] -> [N, T_pred, ...]
     return GaussianParams(
         mu=mu.transpose(1, 0, 2),

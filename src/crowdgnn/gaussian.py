@@ -58,11 +58,16 @@ def nll(
     )
 
 
-def mean_nll(raw: Var, target: np.ndarray) -> Var:
-    """Mean of `nll` over every point of raw [..., 5], as one tape node.
+def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
+    """Per-window mean of `nll` over raw [..., R, 5], as one tape node.
+
+    `rows` are the windows' slices of the pedestrian axis R; by default one
+    window holds every point. Returns the node, whose value is the sum of
+    the per-window means, and those means. Each point weighs 1/(its
+    window's point count); points outside every window (gap rows) weigh 0.
 
     The backward is the closed-form gradient of nll(constrain(raw)) per
-    point, divided by the point count. With sx = e^raw2, sy = e^raw3,
+    point, times its weight. With sx = e^raw2, sy = e^raw3,
     a = (tx - raw0) / sx, b = (ty - raw1) / sy, q = 1 - rho^2,
     z = a^2 + b^2 - 2 rho a b, ua = (a - rho b) / q and ub = (b - rho a) / q:
     d raw0 = -ua / sx, d raw1 = -ub / sy, d raw2 = 1 - a ua,
@@ -73,8 +78,15 @@ def mean_nll(raw: Var, target: np.ndarray) -> Var:
     target = np.asarray(target)
     mu, sigma, rho = constrain(raw.data)
     per_point = nll(target, mu, sigma, rho)
-    scale = 1.0 / per_point.size
-    out = Var(per_point.sum() * scale, (raw,))
+    windows = [Ellipsis] if rows is None else [(..., r) for r in rows]
+    weight = np.zeros_like(per_point)
+    means = np.empty(len(windows))
+    for i, idx in enumerate(windows):
+        points = per_point[idx]
+        scale = 1.0 / points.size
+        means[i] = points.sum() * scale
+        weight[idx] = scale
+    out = Var(means.sum(), (raw,))
 
     def bw(g):
         sx, sy = sigma[..., 0], sigma[..., 1]
@@ -88,10 +100,10 @@ def mean_nll(raw: Var, target: np.ndarray) -> Var:
         grad = np.stack(
             [-ua / sx, -ub / sy, 1.0 - a * ua, 1.0 - b * ub, d_rho], axis=-1
         )
-        raw._ensure_grad()[...] += grad * (g * scale)
+        raw._ensure_grad()[...] += grad * (g * weight)[..., None]
 
     out._backward = bw
-    return out
+    return out, means
 
 
 def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:

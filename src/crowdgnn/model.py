@@ -4,6 +4,12 @@ Shapes follow [time, pedestrians, channels]. The ST-GCN mixes node features
 per frame with the normalized graph matrix, then convolves across observed
 frames. The TXP stack treats the time axis as channels and convolves over
 the (pedestrian, feature) plane, mapping T_obs frames to T_pred frames.
+
+Several windows run as one chunk: their pedestrians are stacked along the
+pedestrian axis with one zero gap row between neighbouring windows. Graph
+mixing runs per window; every other op runs once over the stack and writes
+zero into the gap rows, so no signal crosses windows and each window sees
+exactly the zero padding it would see alone.
 """
 from __future__ import annotations
 
@@ -240,15 +246,21 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(c_out, h, wd), cols
 
 
-def _plane_conv(x: Var, w: Var, b: Var) -> Var:
+def _plane_conv(x: Var, w: Var, b: Var, gaps=()) -> Var:
     """2D conv over the trailing (N, F) plane with time-as-channels, one tape op.
 
     x: [C_in, N, F], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
+    The output rows `gaps` (pedestrian indices) are zero, and get no gradient.
     """
     y, cols = _correlate(x.data, w.data)
-    out = Var(y + b.data[:, None, None], (x, w, b))
+    y += b.data[:, None, None]
+    if gaps:
+        y[:, gaps] = 0.0
+    out = Var(y, (x, w, b))
 
     def bw(g):
+        if gaps:
+            g[:, gaps] = 0.0
         g2 = g.reshape(len(g), -1)
         w._ensure_grad()[...] += (g2 @ cols.T).reshape(w.shape)
         b._ensure_grad()[...] += g2.sum(axis=1)
@@ -258,30 +270,47 @@ def _plane_conv(x: Var, w: Var, b: Var) -> Var:
     return out
 
 
-def st_gcn_forward(v: np.ndarray, normalized: np.ndarray, params: ModelParameters) -> Var:
-    """v: [T_obs, N, C_in], normalized: [T_obs, N, N] -> [T_obs, N, C], one tape op.
+def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) -> Var:
+    """v: [T_obs, R, C_in] -> [T_obs, R, C], one tape op.
 
-    Graph mixing, PReLU, the (K x 1) correlation over the (T, N) plane with
-    C as channels, then the residual projection. `v` and `normalized` are
+    `graphs` holds each window's normalized [T_obs, n, n] matrix and `rows`
+    its slice of the pedestrian axis; by default one window fills v. Graph
+    mixing runs per window, then PReLU, the (K x 1) correlation over the
+    (T, R) plane with C as channels and the residual projection run once.
+    Rows outside every window (the gaps) are zero. `v` and the graphs are
     constants: the backward reaches only the seven stgcn.* parameters.
     """
-    if v.shape[0] != normalized.shape[0] or v.shape[1] != normalized.shape[1]:
-        raise ValueError(
-            f"shape mismatch: features {v.shape} vs graphs {normalized.shape}"
-        )
+    if rows is None:
+        graphs, rows = [graphs], [slice(0, v.shape[1])]
+    for a, r in zip(graphs, rows):
+        n = r.stop - r.start
+        if a.shape != (v.shape[0], n, n):
+            raise ValueError(
+                f"shape mismatch: features {v.shape} rows {r} vs graphs {a.shape}"
+            )
+    gaps = [r.stop for r in rows[:-1]]
     ws, bs = params["stgcn.w_spatial"], params["stgcn.b_spatial"]
     wt, bt = params["stgcn.w_temporal"], params["stgcn.b_temporal"]
     wr, br = params["stgcn.w_residual"], params["stgcn.b_residual"]
     slope = params["stgcn.prelu"]
-    pre = normalized @ (v @ ws.data + bs.data)
+    u = v @ ws.data + bs.data
+    pre = np.empty_like(u)
+    for a, r in zip(graphs, rows):
+        np.matmul(a, u[:, r], out=pre[:, r])
+    if gaps:
+        pre[:, gaps] = 0.0
     pos = pre > 0
     act = np.where(pos, pre, slope.data * pre)
     wk = wt.data.transpose(2, 1, 0)[..., None]  # [C_out, C_in, K, 1]
     y, cols = _correlate(act.transpose(2, 0, 1), wk)
-    out = Var(y.transpose(1, 2, 0) + bt.data + (v @ wr.data + br.data),
-              (ws, bs, wt, bt, wr, br, slope))
+    y = y.transpose(1, 2, 0) + bt.data + (v @ wr.data + br.data)
+    if gaps:
+        y[:, gaps] = 0.0
+    out = Var(y, (ws, bs, wt, bt, wr, br, slope))
 
     def bw(g):
+        if gaps:
+            g[:, gaps] = 0.0
         vt = np.swapaxes(v, -1, -2)
         gb = g.sum(axis=(0, 1))
         br._ensure_grad()[...] += gb
@@ -292,7 +321,12 @@ def st_gcn_forward(v: np.ndarray, normalized: np.ndarray, params: ModelParameter
         gact = _correlate(g.transpose(2, 0, 1), wk[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
         gact = gact.transpose(1, 2, 0)
         slope._ensure_grad()[...] += np.sum(gact * np.where(pos, 0.0, pre))
-        gmix = np.swapaxes(normalized, -1, -2) @ (gact * np.where(pos, 1.0, slope.data))
+        gpre = gact * np.where(pos, 1.0, slope.data)
+        gmix = np.empty_like(gpre)
+        for a, r in zip(graphs, rows):
+            np.matmul(np.swapaxes(a, -1, -2), gpre[:, r], out=gmix[:, r])
+        if gaps:
+            gmix[:, gaps] = 0.0
         bs._ensure_grad()[...] += gmix.sum(axis=(0, 1))
         ws._ensure_grad()[...] += (vt @ gmix).sum(axis=0)
 
@@ -300,25 +334,49 @@ def st_gcn_forward(v: np.ndarray, normalized: np.ndarray, params: ModelParameter
     return out
 
 
-def txp_forward(h: Var, params: ModelParameters) -> Var:
-    """h: [T_obs, N, C] -> [T_pred, N, C], time axis treated as channels."""
+def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
+    """h: [T_obs, R, C] -> [T_pred, R, C], time axis treated as channels.
+
+    Every conv writes zero into the pedestrian rows `gaps`.
+    """
     t_obs = params.cfg.t_obs
     if h.shape[0] != t_obs:
         raise ValueError(f"expected {t_obs} observed frames, got {h.shape[0]}")
-    x = prelu(_plane_conv(h, params["txp.0.w"], params["txp.0.b"]), params["txp.0.prelu"])
+    x = prelu(_plane_conv(h, params["txp.0.w"], params["txp.0.b"], gaps),
+              params["txp.0.prelu"])
     for i in range(1, TXP_LAYERS):
         y = prelu(
-            _plane_conv(x, params[f"txp.{i}.w"], params[f"txp.{i}.b"]),
+            _plane_conv(x, params[f"txp.{i}.w"], params[f"txp.{i}.b"], gaps),
             params[f"txp.{i}.prelu"],
         )
         x = y + x
-    return _plane_conv(x, params["txp.out.w"], params["txp.out.b"])
+    return _plane_conv(x, params["txp.out.w"], params["txp.out.b"], gaps)
+
+
+def stack_windows(windows) -> tuple[np.ndarray, list[slice]]:
+    """Displacements [R, T_total, 2] of the windows stacked along pedestrians,
+    one zero gap row between neighbours, and each window's slice of rows."""
+    if len(windows) == 1:  # no copy: evaluation runs one window at a time
+        return windows[0].displacements, [slice(0, windows[0].n_peds)]
+    gap = np.zeros((1,) + windows[0].displacements.shape[1:])
+    parts, rows, start = [], [], 0
+    for w in windows:
+        parts += [gap, w.displacements]
+        rows.append(slice(start, start + w.n_peds))
+        start += w.n_peds + 1
+    return np.concatenate(parts[1:]), rows
+
+
+def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters):
+    """Windows stacked as one chunk -> (raw Gaussian channels [T_pred, R, 5],
+    the stacked displacements [R, T_total, 2], each window's rows)."""
+    disp, rows = stack_windows(windows)
+    graphs = [build_graph_sequence(w, graph_cfg) for w in windows]
+    v = disp[:, : windows[0].t_obs].transpose(1, 0, 2)
+    h = st_gcn_forward(v, graphs, params, rows)
+    return txp_forward(h, params, [r.stop for r in rows[:-1]]), disp, rows
 
 
 def forward_raw(window, graph_cfg: GraphConfig, params: ModelParameters) -> Var:
-    """Window -> raw Gaussian channels [T_pred, N, 5]."""
-    normalized = build_graph_sequence(window, graph_cfg)
-    v = window.displacements[:, : window.t_obs].transpose(1, 0, 2)
-    h = st_gcn_forward(v, normalized, params)
-    return txp_forward(h, params)
-
+    """Window -> raw Gaussian channels [T_pred, N, 5]: a one-window chunk."""
+    return forward_chunk([window], graph_cfg, params)[0]

@@ -1,8 +1,10 @@
-"""SGD training loop with gradient accumulation across windows.
+"""SGD training loop over chunks of stacked windows.
 
-Windows carry heterogeneous pedestrian counts, so a batch is realized as
-accumulated per-window mean-NLL gradients followed by a single parameter
-update at the scheduled learning rate.
+Windows carry heterogeneous pedestrian counts. Each shuffled batch is cut,
+in order, into chunks of at most CHUNK_PEDESTRIANS pedestrians; a chunk is
+one forward and one backward over its windows stacked along the pedestrian
+axis (see `model`). The gradients of a batch's chunks accumulate into one
+parameter update at the scheduled learning rate.
 """
 from __future__ import annotations
 
@@ -12,9 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetSplit
-from .gaussian import mean_nll
+from .gaussian import constrain, mean_nll, nll
 from .graphs import GraphConfig
-from .model import ModelConfig, ModelParameters, forward_raw
+from .model import ModelConfig, ModelParameters, forward_chunk
+
+# most pedestrians stacked in one chunk. A chunk's tape (activations, im2col
+# columns, graph matrices; about 37 kB per stacked row) lives until the next
+# chunk's loss replaces it, so two are alive at once and the cap bounds memory
+CHUNK_PEDESTRIANS = 32
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,10 +66,43 @@ class EpochRecord:
     lr: float
 
 
+def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters):
+    """Loss of `windows` run as one chunk: a tape node whose value is the sum
+    of their mean NLLs per (pedestrian, predicted frame), and those means.
+
+    A non-finite raw output or NLL raises ValueError naming the first window
+    that has one."""
+    raw, disp, rows = forward_chunk(windows, graph_cfg, params)
+    target = disp[:, windows[0].t_obs :].transpose(1, 0, 2)  # [T_pred, R, 2]
+    try:
+        return mean_nll(raw, target, rows)
+    except ValueError as exc:  # constrain found a non-finite raw value
+        for w, r in zip(windows, rows):
+            part = raw.data[:, r]
+            if not np.all(np.isfinite(part)):
+                raise ValueError(f"window {w.window_id}: {exc}") from exc
+            if not np.isfinite(nll(target[:, r], *constrain(part)).sum()):
+                raise ValueError(f"window {w.window_id}: non-finite NLL") from exc
+        raise
+
+
 def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters):
     """Mean NLL per (pedestrian, predicted frame) for one window, as a Var."""
-    target = window.future_displacements().transpose(1, 0, 2)  # [T_pred, N, 2]
-    return mean_nll(forward_raw(window, graph_cfg, params), target)
+    return chunk_nll([window], graph_cfg, params)[0]
+
+
+def chunks(windows, cap: int = CHUNK_PEDESTRIANS):
+    """Consecutive runs of `windows` with at most `cap` pedestrians each; a
+    window with more forms a chunk alone."""
+    chunk, size = [], 0
+    for w in windows:
+        if chunk and size + w.n_peds > cap:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(w)
+        size += w.n_peds
+    if chunk:
+        yield chunk
 
 
 def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig) -> None:
@@ -117,27 +157,28 @@ def train(
         lr = cfg.lr_at(epoch)
         epoch_losses = []
         for start in range(0, n_train, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+            batch = [split.train[i] for i in order[start : start + cfg.batch_size]]
             params.zero_grad()
-            batch_losses = []
-            for idx in batch:
-                window = split.train[idx]
+            for chunk in chunks(batch):
                 try:
-                    loss = window_nll(window, graph_cfg, params)
-                    val = float(loss.data)
+                    loss, nlls = chunk_nll(chunk, graph_cfg, params)
                 except ValueError as exc:
                     raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, "
-                        f"window {window.window_id}: {exc}"
+                        f"non-finite loss at epoch {epoch}, {exc}"
                     ) from exc
-                if not np.isfinite(val):
+                bad = ~np.isfinite(nlls)
+                if bad.any():
                     raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, window {window.window_id}"
+                        f"non-finite loss at epoch {epoch}, "
+                        f"window {chunk[int(np.argmax(bad))].window_id}"
                     )
-                batch_losses.append(val)
+                epoch_losses.extend(nlls.tolist())
+                # `loss` keeps this tape alive through the next chunk's
+                # forward, as the per-window loop did: freeing it first left
+                # the heap top free after every dense-crowd chunk, and glibc
+                # trimmed and re-faulted it each time
                 loss.backward(1.0 / len(batch))
             sgd_step(params, lr, cfg)
-            epoch_losses.extend(batch_losses)
 
         train_nll = float(np.mean(epoch_losses))
         try:

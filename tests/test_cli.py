@@ -146,6 +146,18 @@ class TestDumpGraph:
         assert not (tmp_path / "g").exists()
 
 
+@pytest.fixture(scope="module")
+def overflow_ckpt(ckpt, tmp_path_factory):
+    """The trained checkpoint with every tensor times 1e150: finite weights
+    whose forward overflows to non-finite raw outputs."""
+    params, extra = ModelParameters.load(ckpt)
+    for _, v in params.items():
+        v.data = v.data * 1e150
+    path = tmp_path_factory.mktemp("overflow") / "big.ckpt"
+    params.save(path, extra_config=extra)
+    return path
+
+
 class TestTrainEval:
     def test_eval_writes_report(self, scene_dir, ckpt, tmp_path):
         report = tmp_path / "report.json"
@@ -203,6 +215,20 @@ class TestTrainEval:
         )
         assert rc == 2
         assert f"{bad}: tensor txp.out.b holds non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_overflowing_forward_exit_1(self, scene_dir, prep_dir, overflow_ckpt,
+                                        tmp_path, capsys):
+        # a runtime failure that names the window, not an input error
+        first = load_windows(prep_dir / "test.npz")[0].window_id
+        rc = main(
+            ["eval", "--ckpt", str(overflow_ckpt), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"failure: window {first}: non-finite raw Gaussian parameters" in err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "mutate",
@@ -297,6 +323,19 @@ class TestExportPlot:
         assert rc == 0
         kinds = {r["kind"] for r in csv.DictReader(out.open())}
         assert kinds == {"observed", "truth"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_overflowing_forward_exit_1(self, prep_dir, overflow_ckpt, tmp_path, capsys):
+        w = load_windows(prep_dir / "test.npz")[-1]
+        rc = main(
+            ["export-plot", "--ckpt", str(overflow_ckpt), "--archive",
+             str(prep_dir / "test.npz"), "--window-id", w.window_id,
+             "--samples", "2", "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"failure: window {w.window_id}: non-finite raw Gaussian parameters" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_window_exit_2(self, prep_dir, ckpt, tmp_path):
         rc = main(

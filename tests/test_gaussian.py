@@ -111,7 +111,7 @@ class TestNll:
         raw = rng.normal(0, 1.5, (12, 4, 5))
         target = rng.normal(0, 1.5, (12, 4, 2))
         want = nll(target, *constrain(raw)).sum() * (1.0 / 48)
-        assert float(mean_nll(Var(raw), target).data) == want
+        assert float(mean_nll(Var(raw), target)[0].data) == want
 
     @pytest.mark.parametrize(
         "raw4_range, rel", [((-4.5, 4.5), 1e-10), ((5.0, 7.0), 1e-9)]
@@ -127,7 +127,7 @@ class TestNll:
             raw[..., 4] *= rng.choice([-1.0, 1.0], (12, 25))
         target = rng.normal(0, 1.5, (12, 25, 2))
         root = Var(raw)
-        mean_nll(root, target).backward()
+        mean_nll(root, target)[0].backward()
         got = root.grad * raw[..., 0].size
         for idx in np.ndindex(12, 25):
             want = mp_raw_grad(raw[idx], target[idx])
@@ -138,7 +138,7 @@ class TestNll:
     def test_mean_nll_rho_grad_zero_where_clipped(self, rng, raw4):
         raw = np.append(rng.normal(0, 1, 4), raw4)
         root = Var(raw)
-        mean_nll(root, rng.normal(0, 1, 2)).backward()
+        mean_nll(root, rng.normal(0, 1, 2))[0].backward()
         assert root.grad[4] == 0.0
         assert np.all(np.isfinite(root.grad))
 
@@ -149,10 +149,10 @@ class TestNll:
             target = rng.normal(0, 1.5, 2)
 
             def f(r):
-                return float(mean_nll(Var(r), target).data)
+                return float(mean_nll(Var(r), target)[0].data)
 
             root = Var(raw)
-            mean_nll(root, target).backward()
+            mean_nll(root, target)[0].backward()
             for i in range(5):
                 d = np.zeros(5)
                 d[i] = eps
@@ -164,7 +164,7 @@ class TestNll:
         raw = rng.normal(0, 1, 5)
         root = Var(raw)
         target = np.array(raw[:2])  # target equals mu
-        mean_nll(root, target).backward()
+        mean_nll(root, target)[0].backward()
         assert np.all(np.abs(root.grad[:2]) < 1e-10)
 
 

@@ -17,11 +17,12 @@ from crowdgnn.model import (
     ModelConfig,
     ModelParameters,
     _plane_conv,
+    forward_chunk,
     forward_raw,
     st_gcn_forward,
     txp_forward,
 )
-from crowdgnn.train import window_nll
+from crowdgnn.train import chunk_nll, window_nll
 from conftest import random_window, weighted_sum
 
 
@@ -221,6 +222,14 @@ def test_forward_tape_size(rng, monkeypatch):
     # the 1/B batch weight is the backward seed, so this is a trained window
     created = 0
     window_nll(w, GraphConfig(), p)
+    assert created == 17
+    # a chunk of 3 stacked windows records the same nodes as one window
+    chunk = [w, random_window(rng, n_peds=2), random_window(rng, n_peds=7)]
+    created = 0
+    forward_chunk(chunk, GraphConfig(), p)
+    assert created == 16
+    created = 0
+    chunk_nll(chunk, GraphConfig(), p)
     assert created == 17
 
 

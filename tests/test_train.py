@@ -3,10 +3,13 @@ import pytest
 
 from crowdgnn.data import DatasetSplit
 from crowdgnn.graphs import GraphConfig
-from crowdgnn.model import ModelConfig, ModelParameters
+from crowdgnn.model import ModelConfig, ModelParameters, forward_raw
 from crowdgnn.train import (
+    CHUNK_PEDESTRIANS,
     TrainConfig,
     TrainingDiverged,
+    chunk_nll,
+    chunks,
     evaluate_nll,
     sgd_step,
     train,
@@ -118,7 +121,8 @@ class TestTrainLoop:
         for split_seed in range(10):
             split = tiny_split(np.random.default_rng(split_seed), n_train=3, n_val=1)
             _, hist = train(split, GraphConfig(), cfg)
-            nlls = [float(window_nll(split.train[i], GraphConfig(), p).data) for i in order]
+            # the 3 windows form one chunk, which yields their NLLs
+            _, nlls = chunk_nll([split.train[i] for i in order], GraphConfig(), p)
             assert hist[0].train_nll == float(np.mean(nlls)), split_seed
 
     def test_empty_train_rejected(self):
@@ -135,6 +139,37 @@ class TestTrainLoop:
         )
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(split, GraphConfig(), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize(
+        "scales, named",
+        # inf makes the raw output non-finite, so constrain raises; 1e150
+        # keeps it finite and overflows the NLL; with both in one chunk the
+        # first in batch order is named
+        [((1, np.inf, 1), 1), ((1, 1e150, 1), 1), ((1e150, np.inf, 1), 0)],
+        ids=["raw-nonfinite", "nll-nonfinite", "first-of-two"],
+    )
+    def test_divergence_inside_a_chunk_names_the_window(self, scales, named):
+        cfg = TrainConfig(epochs=1, batch_size=3, lr_switch_epoch=1, seed=4)
+        order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(3)
+        split = tiny_split(np.random.default_rng(0), n_train=3, n_val=0)
+        for i, w in enumerate(split.train):
+            w.scene_id = f"s{i}"
+        batch = [split.train[i] for i in order]
+        for w, scale in zip(batch, scales):
+            w.positions = w.positions * scale
+            w.displacements = w.displacements * scale
+        p = ModelParameters(ModelConfig(), seed=cfg.seed)
+        raw = [forward_raw(w, GraphConfig(), p).data for w in batch]
+        for r, scale in zip(raw, scales):
+            assert np.all(np.isfinite(r)) == (scale != np.inf)
+        assert len(list(chunks(batch))) == 1
+        with pytest.raises(TrainingDiverged) as info:
+            train(split, GraphConfig(), cfg)
+        msg = str(info.value)
+        want = batch[named].window_id
+        assert msg.startswith(f"non-finite loss at epoch 1, window {want}"), msg
+        assert ("non-finite raw Gaussian parameters" in msg) == (scales[named] == np.inf)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     @pytest.mark.parametrize("scale", [1e150, np.inf])
@@ -175,13 +210,13 @@ class TestTrainLoop:
         seen = []
         import crowdgnn.train as train_mod
 
-        real = train_mod.window_nll
+        real = train_mod.chunk_nll
 
-        def spy(window, graph_cfg, params):
-            seen.append(window.window_id)
-            return real(window, graph_cfg, params)
+        def spy(windows, graph_cfg, params):
+            seen.extend(w.window_id for w in windows)
+            return real(windows, graph_cfg, params)
 
-        monkeypatch.setattr(train_mod, "window_nll", spy)
+        monkeypatch.setattr(train_mod, "chunk_nll", spy)
         # window ids collide (same scene/start); tag them unique first
         for i, w in enumerate(split.train):
             w.scene_id = f"s{i}"
@@ -191,6 +226,52 @@ class TestTrainLoop:
         for e in range(2):
             chunk = seen[e * per_epoch : (e + 1) * per_epoch]
             assert sorted(chunk) == sorted(w.window_id for w in split.train)
+
+
+class TestChunks:
+    # ragged sizes in batch order: 32 fills the cap exactly, and so do the
+    # last four together; 90 and 200 are larger than it
+    SIZES = [5, 2, 32, 17, 2, 12, 90, 200, 3, 20, 7, 2]
+
+    def test_cut_in_batch_order(self, rng):
+        assert CHUNK_PEDESTRIANS == 32
+        batch = [random_window(rng, n_peds=n) for n in self.SIZES]
+        cut = [[w.n_peds for w in c] for c in chunks(batch)]
+        assert cut == [[5, 2], [32], [17, 2, 12], [90], [200], [3, 20, 7, 2]]
+        assert [[w.n_peds for w in c] for c in chunks(batch[:1])] == [[5]]
+
+    @pytest.mark.parametrize(
+        "graph", [GraphConfig(), GraphConfig(neighborhood="view-approach", kernel="exp")],
+        ids=["view-inv", "view-approach-exp"],
+    )
+    @pytest.mark.parametrize("cap", [CHUNK_PEDESTRIANS, 200])
+    @pytest.mark.parametrize("size", [len(SIZES), 1])
+    def test_chunk_grads_equal_one_window_chunks(self, graph, cap, size):
+        rng = np.random.default_rng(size + cap)
+        batch = [random_window(rng, n_peds=n) for n in self.SIZES[:size]]
+        seed = 1.0 / len(batch)
+        # oracle: each window as its own one-window chunk, gradients accumulated
+        want = ModelParameters(ModelConfig(), seed=5)
+        want_nlls = []
+        for w in batch:
+            loss = window_nll(w, graph, want)
+            want_nlls.append(float(loss.data))
+            loss.backward(seed)
+        got = ModelParameters(ModelConfig(), seed=5)
+        got_nlls = []
+        n_chunks = 0
+        for chunk in chunks(batch, cap):
+            loss, nlls = chunk_nll(chunk, graph, got)
+            want_loss = sum(want_nlls[len(got_nlls) : len(got_nlls) + len(chunk)])
+            assert abs(float(loss.data) - want_loss) <= 1e-12 * abs(want_loss)
+            got_nlls.extend(nlls)
+            loss.backward(seed)
+            n_chunks += 1
+        assert n_chunks < len(batch) or size == 1
+        np.testing.assert_allclose(got_nlls, want_nlls, rtol=1e-12, atol=0)
+        for name, v in want.items():
+            err = np.max(np.abs(got[name].grad - v.grad))
+            assert err <= 1e-12 * np.max(np.abs(v.grad)), (name, err)
 
 
 def test_history_csv(tmp_path, rng):
