@@ -244,6 +244,8 @@ SWEEP_GRID = [
 
 
 def cmd_sweep(args) -> int:
+    if not 0 < args.subsample <= 1:  # NaN too
+        raise UsageError(f"--subsample must be in (0, 1], got {args.subsample}")
     _, split = _load_split(args)
     if args.subsample < 1.0:
         rng = np.random.default_rng(args.seed)

@@ -246,7 +246,8 @@ def _window_fault(w: TrajectoryWindow) -> str | None:
 
 
 def load_windows(path) -> list[TrajectoryWindow]:
-    """The checked windows of an archive written by `save_windows`.
+    """The checked windows of an archive written by `save_windows`, with
+    float64 positions and displacements.
 
     Any failure to read the archive is a ValueError naming it; a missing
     file stays a FileNotFoundError.
@@ -272,6 +273,13 @@ def load_windows(path) -> list[TrajectoryWindow]:
     except _ARCHIVE_READ_ERRORS as exc:
         raise ValueError(f"{path}: unreadable archive: {exc}") from exc
     for i, w in enumerate(windows):
+        # every later stage computes in float64 (the graph builder writes
+        # square roots into a buffer of the positions' dtype), so numeric
+        # archives of another dtype load as float64 before the checks
+        for name in ("positions", "displacements"):
+            a = getattr(w, name)
+            if a.dtype.kind in "fiu":
+                setattr(w, name, a.astype(np.float64, copy=False))
         fault = _window_fault(w)
         if fault is not None:
             raise ValueError(f"{path}: window {i}: {fault}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Var, prelu
 from .graphs import GraphConfig, build_graph_sequence
@@ -239,9 +238,13 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, h, wd = x.shape
     xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
     xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
-    # [C_in, H, W, kh, kw] -> rows (c, dh, dw) in w's flattening order
-    cols = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = cols.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h * wd)
+    # one strided view [C_in, kh, kw, H, W] of xp, element (c, dh, dw, i, j)
+    # at xp[c, i + dh, j + dw]: rows (c, dh, dw) in w's flattening order.
+    # The ndarray constructor skips sliding_window_view's argument handling,
+    # which cost several times the copy below at these sizes
+    s0, s1, s2 = xp.strides
+    cols = np.ndarray((c_in, kh, kw, h, wd), xp.dtype, xp, 0, (s0, s1, s2, s1, s2))
+    cols = cols.reshape(c_in * kh * kw, h * wd)
     out = w.reshape(c_out, c_in * kh * kw) @ cols
     return out.reshape(c_out, h, wd), cols
 
@@ -367,11 +370,17 @@ def stack_windows(windows) -> tuple[np.ndarray, list[slice]]:
     return np.concatenate(parts[1:]), rows
 
 
-def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters):
+def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters,
+                  kept: dict | None = None):
     """Windows stacked as one chunk -> (raw Gaussian channels [T_pred, R, 5],
-    the stacked displacements [R, T_total, 2], each window's rows)."""
+    the stacked displacements [R, T_total, 2], each window's rows).
+
+    `kept` maps id(window) to that window's normalized graph under
+    `graph_cfg`, built earlier; the other windows' graphs are built here."""
     disp, rows = stack_windows(windows)
-    graphs = [build_graph_sequence(w, graph_cfg) for w in windows]
+    kept = kept or {}
+    graphs = [kept[id(w)] if id(w) in kept else build_graph_sequence(w, graph_cfg)
+              for w in windows]
     v = disp[:, : windows[0].t_obs].transpose(1, 0, 2)
     h = st_gcn_forward(v, graphs, params, rows)
     return txp_forward(h, params, [r.stop for r in rows[:-1]]), disp, rows

@@ -5,6 +5,11 @@ in order, into chunks of at most CHUNK_PEDESTRIANS pedestrians; a chunk is
 one forward and one backward over its windows stacked along the pedestrian
 axis (see `model`). The gradients of a batch's chunks accumulate into one
 parameter update at the scheduled learning rate.
+
+A graph depends only on its window and the `GraphConfig`, so one `train()`
+call builds the graph of each train and validation window of at most
+CHUNK_PEDESTRIANS pedestrians once, before its first epoch, and reuses it
+in every epoch.
 """
 from __future__ import annotations
 
@@ -15,12 +20,15 @@ import numpy as np
 
 from .data import DatasetSplit
 from .gaussian import constrain, mean_nll, nll
-from .graphs import GraphConfig
+from .graphs import GraphConfig, build_graph_sequence
 from .model import ModelConfig, ModelParameters, forward_chunk
 
 # most pedestrians stacked in one chunk. A chunk's tape (activations, im2col
 # columns, graph matrices; about 37 kB per stacked row) lives until the next
-# chunk's loss replaces it, so two are alive at once and the cap bounds memory
+# chunk's loss replaces it, so two are alive at once and the cap bounds memory.
+# It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
+# 2.56 MB at N=200, and keeping those of a split of dense crowds would hold
+# tens of MB for the whole run, so larger windows rebuild theirs per forward
 CHUNK_PEDESTRIANS = 32
 
 
@@ -66,13 +74,34 @@ class EpochRecord:
     lr: float
 
 
-def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters):
+def kept_graphs(windows, graph_cfg: GraphConfig) -> dict[int, np.ndarray]:
+    """The normalized graphs under `graph_cfg` of the `windows` with at most
+    CHUNK_PEDESTRIANS pedestrians, read-only, keyed by the window's id (the
+    dataclass is unhashable and window ids can repeat); the caller keeps the
+    windows alive while it keeps the dict.
+
+    `train()` builds them all before its first epoch. Built on first use
+    instead, among the first epoch's dense-crowd temporaries, they left a
+    heap on which 200-pedestrian evaluation after training re-faulted its
+    pages on every call in some runs.
+    """
+    kept = {}
+    for w in windows:
+        if w.n_peds <= CHUNK_PEDESTRIANS and id(w) not in kept:
+            a = build_graph_sequence(w, graph_cfg)
+            a.flags.writeable = False  # shared by every epoch
+            kept[id(w)] = a
+    return kept
+
+
+def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters,
+              kept: dict | None = None):
     """Loss of `windows` run as one chunk: a tape node whose value is the sum
     of their mean NLLs per (pedestrian, predicted frame), and those means.
 
-    A non-finite raw output or NLL raises ValueError naming the first window
-    that has one."""
-    raw, disp, rows = forward_chunk(windows, graph_cfg, params)
+    `kept` holds graphs from `kept_graphs`. A non-finite raw output or NLL
+    raises ValueError naming the first window that has one."""
+    raw, disp, rows = forward_chunk(windows, graph_cfg, params, kept)
     target = disp[:, windows[0].t_obs :].transpose(1, 0, 2)  # [T_pred, R, 2]
     try:
         return mean_nll(raw, target, rows)
@@ -86,9 +115,10 @@ def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters):
         raise
 
 
-def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters):
+def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters,
+               kept: dict | None = None):
     """Mean NLL per (pedestrian, predicted frame) for one window, as a Var."""
-    return chunk_nll([window], graph_cfg, params)[0]
+    return chunk_nll([window], graph_cfg, params, kept)[0]
 
 
 def chunks(windows, cap: int = CHUNK_PEDESTRIANS):
@@ -120,11 +150,12 @@ def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig) -> None:
         v.data = v.data - lr * grads[name]
 
 
-def evaluate_nll(windows, graph_cfg: GraphConfig, params: ModelParameters) -> float:
+def evaluate_nll(windows, graph_cfg: GraphConfig, params: ModelParameters,
+                 kept: dict | None = None) -> float:
     """Mean over windows of per-window mean NLL (no sampling)."""
     if not windows:
         return float("nan")
-    vals = [float(window_nll(w, graph_cfg, params).data) for w in windows]
+    vals = [float(window_nll(w, graph_cfg, params, kept).data) for w in windows]
     return float(np.mean(vals))
 
 
@@ -148,6 +179,7 @@ def train(
     history: list[EpochRecord] = []
     best_nll = np.inf
     best_state = {name: v.data.copy() for name, v in params.items()}
+    kept = kept_graphs(split.train + split.val, graph_cfg)
 
     extra = {"graph_config": graph_cfg.to_dict(), "train_config": cfg.to_dict()}
     n_train = len(split.train)
@@ -161,7 +193,7 @@ def train(
             params.zero_grad()
             for chunk in chunks(batch):
                 try:
-                    loss, nlls = chunk_nll(chunk, graph_cfg, params)
+                    loss, nlls = chunk_nll(chunk, graph_cfg, params, kept)
                 except ValueError as exc:
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, {exc}"
@@ -182,7 +214,7 @@ def train(
 
         train_nll = float(np.mean(epoch_losses))
         try:
-            val_nll = evaluate_nll(split.val, graph_cfg, params)
+            val_nll = evaluate_nll(split.val, graph_cfg, params, kept)
         except ValueError as exc:
             raise TrainingDiverged(
                 f"non-finite validation loss at epoch {epoch}: {exc}"

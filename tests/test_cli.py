@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crowdgnn.cli import main
-from crowdgnn.data import load_windows, save_windows
+from crowdgnn.data import TrajectoryWindow, compute_displacements, load_windows, save_windows
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
 from crowdgnn.model import ModelParameters
 from conftest import random_window
@@ -133,6 +133,24 @@ class TestDumpGraph:
         assert rc == 2
         assert f"{archive}: window 0: " in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    def test_integer_archive_same_documents(self, tmp_path, rng):
+        # whole-meter positions: the same values as int64 and as float64
+        pos = rng.integers(-20, 20, size=(3, 20, 2))
+        docs = {}
+        for dtype in ("int64", "float64"):
+            p = pos.astype(dtype)
+            w = TrajectoryWindow("ints", 40, p, compute_displacements(p), 8, 12)
+            assert w.positions.dtype == w.displacements.dtype == dtype
+            archive = tmp_path / f"{dtype}.npz"
+            save_windows(archive, [w])
+            out = tmp_path / f"graphs-{dtype}"
+            rc = main(["dump-graph", "--archive", str(archive), "--graph", "view-approach",
+                       "--kernel", "exp", "--out", str(out)])
+            assert rc == 0
+            docs[dtype] = {f.name: f.read_bytes() for f in out.glob("*.json")}
+        assert list(docs["int64"]) == ["ints_40.json"]
+        assert docs["int64"] == docs["float64"]
 
     @pytest.mark.parametrize("content", [b"", b"frame ped x y\n"], ids=["empty", "text"])
     def test_unreadable_archive_exit_2(self, tmp_path, content, capsys):
@@ -454,3 +472,15 @@ def test_sweep_small(scene_dir, tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["method", "kernel", "zara01_ade", "zara01_fde"]
     assert len(rows) == 10  # baseline + 4 neighborhoods x 2 kernels
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5", "nan"])
+def test_sweep_subsample_out_of_range_exit_2(scene_dir, tmp_path, value, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(
+        ["sweep", "--scene-dir", str(scene_dir), "--held-out", "zara01",
+         "--epochs", "1", "--subsample", value, "--out", str(out), "--quiet"]
+    )
+    assert rc == 2
+    assert f"--subsample must be in (0, 1], got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+import crowdgnn.model as model_mod
 
 from crowdgnn.autodiff import Var
 from crowdgnn.data import TrajectoryWindow
@@ -16,6 +19,7 @@ from crowdgnn.model import (
     TXP_LAYERS,
     ModelConfig,
     ModelParameters,
+    _correlate,
     _plane_conv,
     forward_chunk,
     forward_raw,
@@ -200,6 +204,55 @@ def test_stgcn_backward_matches_loop_oracle(rng, n):
         assert p[name].grad.shape == want.shape
         assert_rel_close(p[name].grad, want)
     assert all(t.grad is None for name, t in p.items() if name.startswith("txp."))
+
+
+def correlate_oracle(x, w):
+    """`_correlate` with its im2col columns from sliding_window_view."""
+    c_out, c_in, kh, kw = w.shape
+    _, h, wd = x.shape
+    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
+    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    cols = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = cols.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h * wd)
+    out = w.reshape(c_out, c_in * kh * kw) @ cols
+    return out.reshape(c_out, h, wd), cols
+
+
+def assert_correlate_exact(x, w):
+    got, want = _correlate(x, w), correlate_oracle(x, w)
+    for g, o in zip(got, want):
+        assert g.shape == o.shape
+        assert np.array_equal(g, o)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 200])
+def test_correlate_columns_bitwise_equal_oracle(rng, n):
+    t_obs, t_pred, c, k = 8, 12, GAUSSIAN_CHANNELS, TXP_KERNEL
+    # the TXP plane convs: [T, N, F] with time as channels, k x k kernels
+    assert_correlate_exact(rng.normal(size=(t_obs, n, c)), rng.normal(size=(t_pred, t_obs, k, k)))
+    assert_correlate_exact(rng.normal(size=(t_pred, n, c)), rng.normal(size=(t_pred, t_pred, k, k)))
+    # the ST-GCN temporal conv: [C, T, N] with a K x 1 kernel
+    kt = STGCN_TEMPORAL_KERNEL
+    assert_correlate_exact(rng.normal(size=(c, t_obs, n)), rng.normal(size=(c, c, kt, 1)))
+
+
+def test_correlate_bitwise_equal_oracle_in_a_stacked_chunk(rng, monkeypatch):
+    # every correlation of a chunk's forward and backward, gap rows included
+    calls = []
+
+    def checked(x, w):
+        calls.append((x.shape, w.shape))
+        return assert_correlate_exact(x, w)
+
+    monkeypatch.setattr(model_mod, "_correlate", checked)
+    chunk = [random_window(rng, n_peds=n) for n in (5, 2, 17)]
+    loss, _ = chunk_nll(chunk, GraphConfig(), small_params())
+    loss.backward()
+    rows = 5 + 2 + 17 + 2  # two gap rows
+    # forward and input gradient: the ST-GCN's and the six TXP convs'
+    assert len(calls) == 2 * (1 + TXP_LAYERS + 1)
+    assert all(rows in x_shape for x_shape, _ in calls)
 
 
 def test_forward_tape_size(rng, monkeypatch):

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import crowdgnn.model as model_mod
+import crowdgnn.train as train_mod
 from crowdgnn.data import DatasetSplit
-from crowdgnn.graphs import GraphConfig
+from crowdgnn.graphs import GraphConfig, build_graph_sequence
 from crowdgnn.model import ModelConfig, ModelParameters, forward_raw
 from crowdgnn.train import (
     CHUNK_PEDESTRIANS,
@@ -212,9 +216,9 @@ class TestTrainLoop:
 
         real = train_mod.chunk_nll
 
-        def spy(windows, graph_cfg, params):
+        def spy(windows, graph_cfg, params, kept=None):
             seen.extend(w.window_id for w in windows)
-            return real(windows, graph_cfg, params)
+            return real(windows, graph_cfg, params, kept)
 
         monkeypatch.setattr(train_mod, "chunk_nll", spy)
         # window ids collide (same scene/start); tag them unique first
@@ -272,6 +276,59 @@ class TestChunks:
         for name, v in want.items():
             err = np.max(np.abs(got[name].grad - v.grad))
             assert err <= 1e-12 * np.max(np.abs(v.grad)), (name, err)
+
+
+class TestKeptGraphs:
+    # train and validation windows on both sides of the cap, 32 exactly on it
+    TRAIN_SIZES = [3, 32, 33, 5, 40, 2]
+    VAL_SIZES = [2, 33]
+    CFG = TrainConfig(epochs=3, batch_size=4, lr_switch_epoch=2, seed=1)
+    GRAPH = GraphConfig(neighborhood="view-approach", kernel="exp")
+
+    def split(self):
+        rng = np.random.default_rng(8)
+        return DatasetSplit(
+            train=[random_window(rng, n_peds=n) for n in self.TRAIN_SIZES],
+            val=[random_window(rng, n_peds=n) for n in self.VAL_SIZES],
+            test=[], held_out_scene="none",
+        )
+
+    def test_builds_per_train_call(self, monkeypatch):
+        built = Counter()
+        graphs = {}
+
+        def spy(window, cfg):
+            built[id(window)] += 1
+            graphs[id(window)] = build_graph_sequence(window, cfg)
+            return graphs[id(window)]
+
+        monkeypatch.setattr(train_mod, "build_graph_sequence", spy)
+        monkeypatch.setattr(model_mod, "build_graph_sequence", spy)
+        split = self.split()
+        # a second call builds again: the kept graphs go when train() returns
+        for _ in range(2):
+            built.clear()
+            train(split, self.GRAPH, self.CFG)
+            for w in split.train + split.val:
+                # each window runs one forward per epoch
+                want = 1 if w.n_peds <= CHUNK_PEDESTRIANS else self.CFG.epochs
+                assert built[id(w)] == want, w.n_peds
+        for w in split.train + split.val:
+            a = graphs[id(w)]
+            assert a.flags.writeable == (w.n_peds > CHUNK_PEDESTRIANS), w.n_peds
+            if w.n_peds <= CHUNK_PEDESTRIANS:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0, 0] = 1.0
+
+    def test_bitwise_equal_to_building_every_forward(self, monkeypatch):
+        split = self.split()
+        params, history = train(split, self.GRAPH, self.CFG)
+        # no kept graphs: every forward builds its windows' graphs
+        monkeypatch.setattr(train_mod, "kept_graphs", lambda windows, cfg: {})
+        want_params, want_history = train(split, self.GRAPH, self.CFG)
+        assert history == want_history
+        for name, v in want_params.items():
+            assert np.array_equal(params[name].data, v.data), name
 
 
 def test_history_csv(tmp_path, rng):
