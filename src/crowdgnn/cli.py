@@ -37,6 +37,20 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= `low`. argparse exits 2 and names the
+    flag when it fails, before any command runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'"
+    return parse
+
+
 def _add_data_flags(p):
     p.add_argument(
         "--scene-dir",
@@ -353,7 +367,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     p = sub.add_parser("prep", help="parse scenes, window, split, and archive")
     _add_data_flags(p)
     p.add_argument("--held-out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output directory for archives")
     p.set_defaults(func=cmd_prep)
 
@@ -369,7 +383,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     _add_graph_flags(p)
     p.add_argument("--held-out", required=True)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", default=None, help="loss history CSV path")
     p.add_argument("--quiet", action="store_true")
@@ -380,8 +394,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     _add_graph_flags(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--held-out", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=20)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--independent-min", action="store_true")
     p.add_argument("--report", required=True, help="output JSON path")
     p.set_defaults(func=cmd_eval)
@@ -390,10 +404,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     _add_data_flags(p)
     p.add_argument("--held-out", required=True)
     _add_train_flags(p)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_int_at_least(1), default=20)
     p.add_argument("--subsample", type=float, default=1.0,
                    help="fraction of windows to keep in each split")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
@@ -402,8 +416,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--archive", required=True)
     p.add_argument("--window-id", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(0), default=20)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_plot)
 

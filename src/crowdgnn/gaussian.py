@@ -106,28 +106,20 @@ def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
     return out, means
 
 
-def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of [[sx^2, r sx sy], [r sx sy, sy^2]], shape [..., 2, 2]."""
-    sx, sy = sigma[..., 0], sigma[..., 1]
-    zeros = np.zeros_like(sx)
-    row0 = np.stack([sx, zeros], axis=-1)
-    row1 = np.stack([rho * sy, sy * np.sqrt(1.0 - rho * rho)], axis=-1)
-    return np.stack([row0, row1], axis=-2)
-
-
 def sample(g: GaussianParams, rngs) -> np.ndarray:
-    """Draw one point per Gaussian from each generator: mu + Chol(Sigma) z.
+    """Draw one point per Gaussian from each generator: mu + L z.
 
-    z ~ N(0, I) of shape mu.shape is drawn from each generator in turn;
-    the result is [len(rngs), *mu.shape].
+    z ~ N(0, I) of shape mu.shape is drawn from each generator in turn into
+    one [len(rngs), *mu.shape] array. L is the lower Cholesky factor of
+    [[sx^2, r sx sy], [r sx sy, sy^2]]: L00 = sx, L10 = r sy and
+    L11 = sy sqrt(1 - r^2), applied entry by entry.
     """
-    chol = cholesky_factor(g.sigma, g.rho)
-    z = np.stack([rng.standard_normal(g.mu.shape) for rng in rngs])
+    z = np.empty((len(rngs),) + g.mu.shape)
+    for rng, out in zip(rngs, z):
+        rng.standard_normal(out=out)
+    sx, sy = g.sigma[..., 0], g.sigma[..., 1]
     z0, z1 = z[..., 0], z[..., 1]
-    return g.mu + np.stack(
-        [
-            chol[..., 0, 0] * z0 + chol[..., 0, 1] * z1,
-            chol[..., 1, 0] * z0 + chol[..., 1, 1] * z1,
-        ],
-        axis=-1,
-    )
+    z[..., 1] = g.rho * sy * z0 + sy * np.sqrt(1.0 - g.rho * g.rho) * z1
+    z[..., 0] = sx * z0
+    z += g.mu
+    return z

@@ -36,6 +36,15 @@ TXP_LAYERS = 5
 TXP_KERNEL = 3
 PRELU_INIT = 0.25
 
+# most pedestrians stacked in one chunk (see `chunks`). A chunk's tape
+# (activations, im2col columns, graph matrices; about 37 kB per stacked row)
+# lives until the caller drops its output; training keeps one through the
+# next chunk's forward, so two are alive at once and the cap bounds memory.
+# It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
+# 2.56 MB at N=200, and keeping those of a split of dense crowds would hold
+# tens of MB for the whole run, so larger windows rebuild theirs per forward
+CHUNK_PEDESTRIANS = 32
+
 # settings that earlier checkpoints store in their header; each must hold
 # the value the architecture now fixes
 FIXED_MODEL_SETTINGS = {
@@ -356,10 +365,24 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
     return _plane_conv(x, params["txp.out.w"], params["txp.out.b"], gaps)
 
 
+def chunks(windows, cap: int = CHUNK_PEDESTRIANS):
+    """Consecutive runs of `windows` with at most `cap` pedestrians each; a
+    window with more forms a chunk alone."""
+    chunk, size = [], 0
+    for w in windows:
+        if chunk and size + w.n_peds > cap:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(w)
+        size += w.n_peds
+    if chunk:
+        yield chunk
+
+
 def stack_windows(windows) -> tuple[np.ndarray, list[slice]]:
     """Displacements [R, T_total, 2] of the windows stacked along pedestrians,
     one zero gap row between neighbours, and each window's slice of rows."""
-    if len(windows) == 1:  # no copy: evaluation runs one window at a time
+    if len(windows) == 1:  # a one-window chunk needs no copy
         return windows[0].displacements, [slice(0, windows[0].n_peds)]
     gap = np.zeros((1,) + windows[0].displacements.shape[1:])
     parts, rows, start = [], [], 0

@@ -21,15 +21,9 @@ import numpy as np
 from .data import DatasetSplit
 from .gaussian import constrain, mean_nll, nll
 from .graphs import GraphConfig, build_graph_sequence
-from .model import ModelConfig, ModelParameters, forward_chunk
-
-# most pedestrians stacked in one chunk. A chunk's tape (activations, im2col
-# columns, graph matrices; about 37 kB per stacked row) lives until the next
-# chunk's loss replaces it, so two are alive at once and the cap bounds memory.
-# It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
-# 2.56 MB at N=200, and keeping those of a split of dense crowds would hold
-# tens of MB for the whole run, so larger windows rebuild theirs per forward
-CHUNK_PEDESTRIANS = 32
+from .model import (
+    CHUNK_PEDESTRIANS, ModelConfig, ModelParameters, chunks, forward_chunk,
+)
 
 
 class TrainingDiverged(RuntimeError):
@@ -119,20 +113,6 @@ def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters,
                kept: dict | None = None):
     """Mean NLL per (pedestrian, predicted frame) for one window, as a Var."""
     return chunk_nll([window], graph_cfg, params, kept)[0]
-
-
-def chunks(windows, cap: int = CHUNK_PEDESTRIANS):
-    """Consecutive runs of `windows` with at most `cap` pedestrians each; a
-    window with more forms a chunk alone."""
-    chunk, size = [], 0
-    for w in windows:
-        if chunk and size + w.n_peds > cap:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(w)
-        size += w.n_peds
-    if chunk:
-        yield chunk
 
 
 def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig) -> None:

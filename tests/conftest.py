@@ -14,6 +14,16 @@ def weighted_sum(x: Var, u) -> Var:
     return Var(np.sum(x.data * u), (x,), bw)
 
 
+def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of [[sx^2, r sx sy], [r sx sy, sy^2]], shape
+    [..., 2, 2]: the oracle for the entries `gaussian.sample` applies."""
+    sx, sy = sigma[..., 0], sigma[..., 1]
+    zeros = np.zeros_like(sx)
+    row0 = np.stack([sx, zeros], axis=-1)
+    row1 = np.stack([rho * sy, sy * np.sqrt(1.0 - rho * rho)], axis=-1)
+    return np.stack([row0, row1], axis=-2)
+
+
 def random_window(
     rng: np.random.Generator,
     n_peds: int = 3,

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from crowdgnn.cli import main
-from crowdgnn.data import TrajectoryWindow, compute_displacements, load_windows, save_windows
+from crowdgnn.data import (
+    TrajectoryWindow, compute_displacements, leave_one_out_split, load_scene_dir,
+    load_windows, save_windows,
+)
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
-from crowdgnn.model import ModelParameters
+from crowdgnn.model import ModelParameters, chunks
 from conftest import random_window
 from test_data import _faulty
 from test_model import add_earlier_settings, rewrite_header
@@ -235,7 +238,7 @@ class TestTrainEval:
         assert f"{bad}: tensor txp.out.b holds non-finite" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_overflowing_forward_exit_1(self, scene_dir, prep_dir, overflow_ckpt,
+    def test_overflowing_forward_exit_1(self, scene_dir, prep_dir, ckpt, overflow_ckpt,
                                         tmp_path, capsys):
         # a runtime failure that names the window, not an input error
         first = load_windows(prep_dir / "test.npz")[0].window_id
@@ -246,6 +249,30 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"failure: window {first}: non-finite raw Gaussian parameters" in err
+        assert not (tmp_path / "r.json").exists()
+
+        # the trained model on scenes where pedestrian 0 of the held-out scene
+        # is at 1.7e308 in frame 80: the first test window only predicts that
+        # frame, the second observes it, and both run in the first chunk
+        spiked = tmp_path / "spiked"
+        spiked.mkdir()
+        for path in scene_dir.glob("*.txt"):
+            (spiked / path.name).write_text(path.read_text())
+        eth = spiked / "eth.txt"
+        eth.write_text("".join(
+            "80 0 1.7e308 1.7e308\n" if line.startswith("80 0 ") else line
+            for line in eth.read_text().splitlines(keepends=True)
+        ))
+        windows = leave_one_out_split(load_scene_dir(spiked), "eth").test
+        assert len(next(chunks(windows))) > 2
+        rc = main(
+            ["eval", "--ckpt", str(ckpt), "--scene-dir", str(spiked),
+             "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (f"failure: window {windows[1].window_id}: non-finite raw Gaussian "
+                "parameters") in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
@@ -484,3 +511,54 @@ def test_sweep_subsample_out_of_range_exit_2(scene_dir, tmp_path, value, capsys)
     assert rc == 2
     assert f"--subsample must be in (0, 1], got {float(value)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestSeedAndSamplesFlags:
+    """Bad --seed/--samples exit 2 at parse time, naming the flag, before any
+    scene is parsed or any model is trained."""
+
+    @staticmethod
+    def argv(command, out):
+        # every path but --out is missing: parsing must fail before it is read
+        missing = str(out.parent / "missing")
+        return {
+            "prep": ["prep", "--scene-dir", missing, "--held-out", "eth", "--out", str(out)],
+            "train": ["train", "--scene-dir", missing, "--held-out", "eth",
+                      "--out", str(out)],
+            "eval": ["eval", "--ckpt", missing, "--scene-dir", missing,
+                     "--held-out", "eth", "--report", str(out)],
+            "sweep": ["sweep", "--scene-dir", missing, "--held-out", "eth",
+                      "--out", str(out)],
+            "export-plot": ["export-plot", "--ckpt", missing, "--archive", missing,
+                            "--window-id", "eth:0", "--out", str(out)],
+        }[command]
+
+    def exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["prep", "train", "eval", "sweep", "export-plot"])
+    @pytest.mark.parametrize("seed", ["-1", "-4294967296"])
+    def test_negative_seed(self, command, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = self.exit_2(self.argv(command, out) + ["--seed", seed], capsys)
+        assert f"argument --seed: must be >= 0, got {seed}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,low", [("eval", 1), ("sweep", 1), ("export-plot", 0)])
+    def test_samples_below_minimum(self, command, low, tmp_path, capsys):
+        out = tmp_path / "out"
+        for value in (low - 1, -2):
+            err = self.exit_2(self.argv(command, out) + ["--samples", str(value)],
+                              capsys)
+            assert f"argument --samples: must be >= {low}, got {value}" in err
+            assert not out.exists()
+
+    def test_seed_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "out"
+        err = self.exit_2(["--config", str(cfg)] + self.argv("train", out), capsys)
+        assert "argument --seed: must be >= 0, got -1" in err

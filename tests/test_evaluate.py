@@ -1,10 +1,14 @@
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
+import crowdgnn.evaluate as evaluate_mod
+from crowdgnn.data import TrajectoryWindow, compute_displacements
 from crowdgnn.evaluate import (
     MetricsReport,
+    PredictionDiverged,
     ade,
     best_of_k,
     evaluate,
@@ -13,10 +17,10 @@ from crowdgnn.evaluate import (
     sample_generators,
     sample_trajectory,
 )
-from crowdgnn.gaussian import GaussianParams, cholesky_factor
+from crowdgnn.gaussian import GaussianParams
 from crowdgnn.graphs import GraphConfig
-from crowdgnn.model import ModelConfig, ModelParameters
-from conftest import random_window
+from crowdgnn.model import CHUNK_PEDESTRIANS, ModelConfig, ModelParameters, chunks
+from conftest import cholesky_factor, random_window
 
 
 def naive_ade(pred, truth):
@@ -92,6 +96,28 @@ def best_of_k_oracle(window, cfg, params, k, seed, independent_min):
     return ades[best], fdes[best]
 
 
+class TestSampleGenerators:
+    @pytest.mark.parametrize("k", [0, 1, 20, 64])
+    @pytest.mark.parametrize("window_id", ["", "zara01:120", "ünïcode:ß→7"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_streams_equal_seed_sequence_oracle(self, seed, window_id, k):
+        h = zlib.crc32(window_id.encode("utf-8"))
+        got = sample_generators(seed, window_id, k)
+        assert len(got) == k
+        for s, gen in enumerate(got):
+            want = np.random.default_rng(np.random.SeedSequence([seed, h, s]))
+            assert gen.bit_generator.state == want.bit_generator.state, s
+            assert np.array_equal(gen.standard_normal(9), want.standard_normal(9))
+            assert np.array_equal(gen.integers(0, 2**62, 3), want.integers(0, 2**62, 3))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**32)])
+    def test_negative_seed_rejected(self, seed):
+        # splitting a negative seed into 32-bit words would give another
+        # seed's stream
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sample_generators(seed, "w:0", 3)
+
+
 class TestBestOfK:
     def setup_method(self):
         self.params = ModelParameters(ModelConfig(), seed=0)
@@ -107,7 +133,7 @@ class TestBestOfK:
         assert a1 == ade(pred, w.future_positions())
         assert f1 == fde(pred, w.future_positions())
 
-    @pytest.mark.parametrize("n_peds", [2, 5, 60])
+    @pytest.mark.parametrize("n_peds", [2, 5, 60, 200])
     def test_bitwise_equal_to_per_sample_oracle(self, rng, n_peds):
         for seed in range(3):
             w = random_window(rng, n_peds=n_peds, scene_id=f"s{seed}")
@@ -189,3 +215,77 @@ class TestReport:
         )
         assert a_ind == a_pair  # ADE is minimized either way
         assert f_ind <= f_pair
+
+
+def spike_window(rng, scene_id):
+    """A window whose forward overflows under seed-0 parameters: one
+    pedestrian's observed steps of +-1.7e308, a finite input, make the
+    layers' sums infinite."""
+    w = random_window(rng, scene_id=scene_id)
+    pos = w.positions.copy()
+    pos[0, 3] = 1.7e308
+    return TrajectoryWindow(scene_id, 0, pos, compute_displacements(pos), 8, 12)
+
+
+class TestChunkedEvaluate:
+    # ragged, in evaluation order: 32 fills a chunk exactly, 33 and 200 are
+    # above the cap and run alone, the rest stack
+    SIZES = [2, 5, 32, 3, 17, 12, 33, 2, 200, 7, 4]
+
+    @pytest.mark.parametrize("independent_min", [False, True])
+    @pytest.mark.parametrize(
+        "graph", [GraphConfig(), GraphConfig(neighborhood="view-approach", kernel="exp")],
+        ids=["view-inv", "view-approach-exp"],
+    )
+    def test_equals_best_of_k_per_window(self, monkeypatch, graph, independent_min):
+        rng = np.random.default_rng(3)
+        windows = [random_window(rng, n_peds=n, scene_id=f"w{i}")
+                   for i, n in enumerate(self.SIZES)]
+        params = ModelParameters(ModelConfig(), seed=4)
+        forwards = []
+        forward_chunk = evaluate_mod.forward_chunk
+
+        def spy(chunk, *args):
+            forwards.append([w.n_peds for w in chunk])
+            return forward_chunk(chunk, *args)
+
+        monkeypatch.setattr(evaluate_mod, "forward_chunk", spy)
+        rep = evaluate(windows, graph, params, k=20, seed=6,
+                       independent_min=independent_min)
+        assert forwards == [[w.n_peds for w in c] for c in chunks(windows)]
+        assert forwards == [[2, 5], [32], [3, 17, 12], [33], [2], [200], [7, 4]]
+        assert CHUNK_PEDESTRIANS == 32
+        assert [m.window_id for m in rep.per_window] == [w.window_id for w in windows]
+        for w, m in zip(windows, rep.per_window):
+            a, f = best_of_k(w, graph, params, k=20, seed=6,
+                             independent_min=independent_min)
+            assert m.ade == pytest.approx(a, rel=1e-12, abs=0), w.n_peds
+            assert m.fde == pytest.approx(f, rel=1e-12, abs=0), w.n_peds
+
+    def test_overflow_names_second_window_of_chunk(self):
+        rng = np.random.default_rng(5)
+        windows = [random_window(rng, scene_id="first"), spike_window(rng, "spike"),
+                   random_window(rng, scene_id="third")]
+        assert len(list(chunks(windows))) == 1
+        params = ModelParameters(ModelConfig(), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow
+            with pytest.raises(PredictionDiverged, match="window spike:0: non-finite"):
+                evaluate(windows, GraphConfig(), params, k=3)
+            # alone, the first and third windows evaluate
+            evaluate(windows[::2], GraphConfig(), params, k=3)
+
+    def test_k_checked_before_any_forward(self, monkeypatch, rng):
+        def forward_chunk(*args):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(evaluate_mod, "forward_chunk", forward_chunk)
+        params = ModelParameters(ModelConfig(), seed=0)
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                evaluate([random_window(rng)], GraphConfig(), params, k=k)
+
+    def test_no_windows_nan_means(self):
+        rep = evaluate([], GraphConfig(), ModelParameters(ModelConfig(), seed=0), k=2)
+        assert rep.per_window == []
+        assert np.isnan(rep.ade_mean) and np.isnan(rep.fde_mean)

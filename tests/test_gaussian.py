@@ -10,12 +10,12 @@ from crowdgnn.autodiff import Var
 from crowdgnn.gaussian import (
     GaussianParams,
     RHO_MAX,
-    cholesky_factor,
     constrain,
     mean_nll,
     nll,
     sample,
 )
+from conftest import cholesky_factor
 
 
 def _mp_nll(tx, ty, mux, muy, sx, sy, rho):
@@ -192,6 +192,19 @@ class TestSample:
         assert draws.shape == (4, 3, 4, 2)
         for s in range(4):
             assert np.array_equal(draws[s], sample(g, [np.random.default_rng(s)])[0])
+
+    def test_bitwise_equal_to_cholesky_oracle(self, rng):
+        g = GaussianParams(
+            rng.normal(size=(6, 12, 2)),
+            rng.uniform(0.01, 3.0, size=(6, 12, 2)),
+            rng.uniform(-RHO_MAX, RHO_MAX, size=(6, 12)),
+        )
+        draws = sample(g, [np.random.default_rng(s) for s in range(3)])
+        chol = cholesky_factor(g.sigma, g.rho)
+        for s in range(3):
+            z = np.random.default_rng(s).standard_normal(g.mu.shape)
+            want = g.mu + np.einsum("...ij,...j->...i", chol, z)
+            assert np.array_equal(draws[s], want)
 
     def test_moments_match(self):
         mu = np.array([1.0, -2.0])

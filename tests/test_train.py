@@ -7,13 +7,13 @@ import crowdgnn.model as model_mod
 import crowdgnn.train as train_mod
 from crowdgnn.data import DatasetSplit
 from crowdgnn.graphs import GraphConfig, build_graph_sequence
-from crowdgnn.model import ModelConfig, ModelParameters, forward_raw
+from crowdgnn.model import (
+    CHUNK_PEDESTRIANS, ModelConfig, ModelParameters, chunks, forward_raw,
+)
 from crowdgnn.train import (
-    CHUNK_PEDESTRIANS,
     TrainConfig,
     TrainingDiverged,
     chunk_nll,
-    chunks,
     evaluate_nll,
     sgd_step,
     train,
