@@ -112,8 +112,9 @@ def _train_cfg(args) -> TrainConfig:
     )
 
 
-def _load_split(args) -> tuple[dict, DatasetSplit]:
-    """(windows per scene, leave-one-out split) of the scene directory."""
+def _load_split(args, need_test: bool = False) -> tuple[dict, DatasetSplit]:
+    """(windows per scene, leave-one-out split) of the scene directory; with
+    `need_test`, a held-out scene without windows is a usage error."""
     if not args.scene_dir:
         raise UsageError("--scene-dir (or CROWDGNN_DATA_DIR) is required")
     scene_dir = Path(args.scene_dir)
@@ -124,9 +125,15 @@ def _load_split(args) -> tuple[dict, DatasetSplit]:
     )
     if not scenes:
         raise UsageError("no scene files")
-    return scenes, leave_one_out_split(
+    split = leave_one_out_split(
         scenes, args.held_out, val_fraction=args.val_fraction, seed=args.seed
     )
+    if need_test and not split.test:
+        raise UsageError(
+            f"held-out scene {args.held_out!r} has no "
+            f"{args.t_obs + args.t_pred}-frame window to evaluate"
+        )
+    return scenes, split
 
 
 def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig | None, dict]:
@@ -225,7 +232,7 @@ def cmd_eval(args) -> int:
         graph_cfg = _graph_cfg(args)
     args.t_obs = params.cfg.t_obs
     args.t_pred = params.cfg.t_pred
-    _, split = _load_split(args)
+    _, split = _load_split(args, need_test=True)
     report = evaluate(
         split.test,
         graph_cfg,
@@ -260,7 +267,7 @@ SWEEP_GRID = [
 def cmd_sweep(args) -> int:
     if not 0 < args.subsample <= 1:  # NaN too
         raise UsageError(f"--subsample must be in (0, 1], got {args.subsample}")
-    _, split = _load_split(args)
+    _, split = _load_split(args, need_test=True)
     if args.subsample < 1.0:
         rng = np.random.default_rng(args.seed)
 
@@ -441,11 +448,11 @@ def _apply_config_file(commands: dict[str, _FlagParser], argv: list[str]) -> lis
         raise UsageError("--config needs a JSON file path")
     else:
         path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # e.g. a directory, bad UTF-8 or JSON
+        raise UsageError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     known = set().union(*(p.flags for p in commands.values()))

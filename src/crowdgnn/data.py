@@ -68,7 +68,11 @@ def parse_trajectory_file(path) -> list[RawTrack]:
     tracks = []
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TrajectoryParseError(f"{path}: {exc}") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -86,7 +86,6 @@ def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
         scale = 1.0 / points.size
         means[i] = points.sum() * scale
         weight[idx] = scale
-    out = Var(means.sum(), (raw,))
 
     def bw(g):
         sx, sy = sigma[..., 0], sigma[..., 1]
@@ -102,8 +101,7 @@ def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
         )
         raw._ensure_grad()[...] += grad * (g * weight)[..., None]
 
-    out._backward = bw
-    return out, means
+    return Var(means.sum(), raw, bw), means
 
 
 def sample(g: GaussianParams, rngs) -> np.ndarray:

@@ -15,6 +15,11 @@ import numpy as np
 
 from .data import TrajectoryWindow
 
+# most entries in one pairwise float temporary of `graph_adjacency` (0.5 MB):
+# two whole [T_obs, N, N] ones (2.56 MB each at N=200) took an evaluation
+# call past glibc's 5.12 MB heap trim threshold, so each call re-faulted
+PAIRWISE_BLOCK = 1 << 16
+
 
 class Neighborhood(str, Enum):
     VIEW = "view"
@@ -80,29 +85,28 @@ def graph_adjacency(window: TrajectoryWindow, cfg: GraphConfig) -> np.ndarray:
     """Gated, kernel-weighted adjacency [T_obs, N, N], self-loops included."""
     n, t_obs = window.n_peds, window.t_obs
     nb = cfg.neighborhood
-    view = None
-    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
-        v = window.displacements[:, :t_obs].transpose(1, 0, 2)  # [T_obs, N, 2]
-        dot = v[..., :, None, 0] * v[..., None, :, 0]
-        dot += v[..., :, None, 1] * v[..., None, :, 1]
-        view = dot > 0
-        del dot  # freed before the distances: two [T_obs, N, N] buffers at most
+    step = max(1, PAIRWISE_BLOCK // (n * n))
+    blocks = [slice(t, t + step) for t in range(0, t_obs, step)]
     # a C-contiguous [T_obs, N, 2] copy keeps every later buffer C-ordered,
     # so each degree row sum adds in the same order as one frame summed alone
     pos = np.ascontiguousarray(window.positions[:, :t_obs].transpose(1, 0, 2))
     x, y = pos[..., 0], pos[..., 1]
     dist = x[..., :, None] - x[..., None, :]
     dist *= dist
-    dy = y[..., :, None] - y[..., None, :]
-    dy *= dy
-    dist += dy
-    del dy
+    for b in blocks:
+        dy = y[b, :, None] - y[b, None, :]
+        dy *= dy
+        dist[b] += dy
     np.sqrt(dist, out=dist)
     # the diagonal distance is exactly 0, so this drops self-edges and
     # coincident pedestrians, whose kernel weight is undefined
     gate = dist != 0.0
-    if view is not None:
-        gate &= view
+    if nb in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH, Neighborhood.VIEW_APPROACH):
+        v = window.displacements[:, :t_obs].transpose(1, 0, 2)  # [T_obs, N, 2]
+        for b in blocks:  # walking directions with a positive dot product
+            dot = v[b, :, None, 0] * v[b, None, :, 0]
+            dot += v[b, :, None, 1] * v[b, None, :, 1]
+            gate[b] &= dot > 0
     if nb is Neighborhood.VIEW_THRESH:
         gate &= dist < cfg.epsilon
     if nb in (Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH):

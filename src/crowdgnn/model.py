@@ -21,7 +21,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .autodiff import Var, prelu
+from .autodiff import Var
 from .graphs import GraphConfig, build_graph_sequence
 
 CHECKPOINT_MAGIC = b"CGNN"
@@ -37,9 +37,10 @@ TXP_KERNEL = 3
 PRELU_INIT = 0.25
 
 # most pedestrians stacked in one chunk (see `chunks`). A chunk's tape
-# (activations, im2col columns, graph matrices; about 37 kB per stacked row)
-# lives until the caller drops its output; training keeps one through the
-# next chunk's forward, so two are alive at once and the cap bounds memory.
+# (activations, conv inputs, graph matrices; about 9 kB per stacked row,
+# 10 kB after its backward) lives until the caller drops its output;
+# training keeps one through the next chunk's forward, so two are alive at
+# once and the cap bounds memory.
 # It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
 # 2.56 MB at N=200, and keeping those of a split of dense crowds would hold
 # tens of MB for the whole run, so larger windows rebuild theirs per forward
@@ -234,6 +235,21 @@ class ModelParameters:
         return params, extra
 
 
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col columns [C_in*kh*kw, H*W] of x [C_in, H, W], zero-padded "same"
+    for odd kernels: row (c, dh, dw) in a weight's flattening order."""
+    c_in, h, wd = x.shape
+    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
+    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    # one strided view [C_in, kh, kw, H, W] of xp, element (c, dh, dw, i, j)
+    # at xp[c, i + dh, j + dw]. The ndarray constructor skips
+    # sliding_window_view's argument handling, which cost several times the
+    # copy below at these sizes
+    s0, s1, s2 = xp.strides
+    cols = np.ndarray((c_in, kh, kw, h, wd), xp.dtype, xp, 0, (s0, s1, s2, s1, s2))
+    return cols.reshape(c_in * kh * kw, h * wd)
+
+
 def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stride-1, zero-padded "same" correlation as one im2col matmul.
 
@@ -243,43 +259,35 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     input gradient is this correlation of the output gradient with w
     flipped in space and in/out channels swapped (Dumoulin & Visin 2016).
     """
-    c_out, c_in, kh, kw = w.shape
-    _, h, wd = x.shape
-    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
-    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
-    # one strided view [C_in, kh, kw, H, W] of xp, element (c, dh, dw, i, j)
-    # at xp[c, i + dh, j + dw]: rows (c, dh, dw) in w's flattening order.
-    # The ndarray constructor skips sliding_window_view's argument handling,
-    # which cost several times the copy below at these sizes
-    s0, s1, s2 = xp.strides
-    cols = np.ndarray((c_in, kh, kw, h, wd), xp.dtype, xp, 0, (s0, s1, s2, s1, s2))
-    cols = cols.reshape(c_in * kh * kw, h * wd)
-    out = w.reshape(c_out, c_in * kh * kw) @ cols
-    return out.reshape(c_out, h, wd), cols
+    cols = _columns(x, *w.shape[2:])
+    out = w.reshape(len(w), -1) @ cols
+    return out.reshape(len(w), *x.shape[1:]), cols
 
 
-def _plane_conv(x: Var, w: Var, b: Var, gaps=()) -> Var:
-    """2D conv over the trailing (N, F) plane with time-as-channels, one tape op.
+def _plane_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, gaps=()) -> np.ndarray:
+    """2D conv over the trailing (N, F) plane with time-as-channels.
 
     x: [C_in, N, F], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
-    The output rows `gaps` (pedestrian indices) are zero, and get no gradient.
+    The output rows `gaps` (pedestrian indices) are zero.
     """
-    y, cols = _correlate(x.data, w.data)
-    y += b.data[:, None, None]
+    y = _correlate(x, w)[0]
+    y += b[:, None, None]
     if gaps:
         y[:, gaps] = 0.0
-    out = Var(y, (x, w, b))
+    return y
 
-    def bw(g):
-        if gaps:
-            g[:, gaps] = 0.0
-        g2 = g.reshape(len(g), -1)
-        w._ensure_grad()[...] += (g2 @ cols.T).reshape(w.shape)
-        b._ensure_grad()[...] += g2.sum(axis=1)
-        x._ensure_grad()[...] += _correlate(g, w.data[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
 
-    out._backward = bw
-    return out
+def _plane_conv_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, gaps=()):
+    """Gradients (x, w, b) of `_plane_conv(x, w, b, gaps)` whose output
+    gradient is `g`; g's gap rows are zeroed in place, so they pass none.
+    x's columns are rebuilt, so that no tape, not even an evaluation
+    forward's, keeps them (0.86 MB per conv at N=200)."""
+    if gaps:
+        g[:, gaps] = 0.0
+    g2 = g.reshape(len(g), -1)
+    gx = _correlate(g, w[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
+    gw = g2 @ _columns(x, *w.shape[2:]).T
+    return gx, gw.reshape(w.shape), g2.sum(axis=1)
 
 
 def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) -> Var:
@@ -318,7 +326,6 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
     y = y.transpose(1, 2, 0) + bt.data + (v @ wr.data + br.data)
     if gaps:
         y[:, gaps] = 0.0
-    out = Var(y, (ws, bs, wt, bt, wr, br, slope))
 
     def bw(g):
         if gaps:
@@ -342,27 +349,46 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
         bs._ensure_grad()[...] += gmix.sum(axis=(0, 1))
         ws._ensure_grad()[...] += (vt @ gmix).sum(axis=0)
 
-    out._backward = bw
-    return out
+    return Var(y, None, bw)
 
 
 def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
-    """h: [T_obs, R, C] -> [T_pred, R, C], time axis treated as channels.
-
-    Every conv writes zero into the pedestrian rows `gaps`.
+    """h: [T_obs, R, C] -> [T_pred, R, C], time axis treated as channels, one
+    tape op: PReLU plane convs, each but the first summed with its input,
+    then the linear readout conv, every conv zero in the pedestrian rows
+    `gaps`. The backward runs them in reverse to h and the txp.* parameters.
     """
     t_obs = params.cfg.t_obs
     if h.shape[0] != t_obs:
         raise ValueError(f"expected {t_obs} observed frames, got {h.shape[0]}")
-    x = prelu(_plane_conv(h, params["txp.0.w"], params["txp.0.b"], gaps),
-              params["txp.0.prelu"])
-    for i in range(1, TXP_LAYERS):
-        y = prelu(
-            _plane_conv(x, params[f"txp.{i}.w"], params[f"txp.{i}.b"], gaps),
-            params[f"txp.{i}.prelu"],
-        )
-        x = y + x
-    return _plane_conv(x, params["txp.out.w"], params["txp.out.b"], gaps)
+    layers = []  # per PReLU conv: parameters, input, pre-activation
+    x = h.data
+    for i in range(TXP_LAYERS):
+        w, b, slope = (params[f"txp.{i}.{k}"] for k in ("w", "b", "prelu"))
+        pre = _plane_conv(x, w.data, b.data, gaps)
+        layers.append((w, b, slope, x, pre))
+        y = np.where(pre > 0, pre, slope.data * pre)
+        x = y if i == 0 else y + x
+    wo, bo = params["txp.out.w"], params["txp.out.b"]
+    out = _plane_conv(x, wo.data, bo.data, gaps)
+
+    def bw(g):
+        gx, gw, gb = _plane_conv_backward(g, x, wo.data, gaps)  # x: the readout's input
+        wo._ensure_grad()[...] += gw
+        bo._ensure_grad()[...] += gb
+        for i in reversed(range(TXP_LAYERS)):
+            w, b, slope, x_in, pre = layers[i]
+            pos = pre > 0
+            slope._ensure_grad()[...] += np.sum(gx * np.where(pos, 0.0, pre))
+            gin, gw, gb = _plane_conv_backward(
+                gx * np.where(pos, 1.0, slope.data), x_in, w.data, gaps
+            )
+            w._ensure_grad()[...] += gw
+            b._ensure_grad()[...] += gb
+            gx = gin if i == 0 else gx + gin  # the residual passes gx through
+        h._ensure_grad()[...] += gx
+
+    return Var(out, h, bw)
 
 
 def chunks(windows, cap: int = CHUNK_PEDESTRIANS):

@@ -11,7 +11,7 @@ def weighted_sum(x: Var, u) -> Var:
     def bw(g):
         x._ensure_grad()[...] += g * u
 
-    return Var(np.sum(x.data * u), (x,), bw)
+    return Var(np.sum(x.data * u), x, bw)
 
 
 def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:

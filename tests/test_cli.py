@@ -1,9 +1,11 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import crowdgnn.cli as cli_mod
 from crowdgnn.cli import main
 from crowdgnn.data import (
     TrajectoryWindow, compute_displacements, leave_one_out_split, load_scene_dir,
@@ -29,6 +31,17 @@ def scene_dir(tmp_path_factory):
                 x, y = pos + f * vel
                 lines.append(f"{f * 10} {ped} {float(x)!r} {float(y)!r}")
         (d / f"{name}.txt").write_text("\n".join(lines) + "\n")
+    return d
+
+
+@pytest.fixture
+def short_scene_dir(scene_dir, tmp_path):
+    """The scenes plus "short": 3 pedestrians over 12 frames, too few for a
+    window of the default t_obs + t_pred = 20."""
+    d = tmp_path / "scenes"
+    shutil.copytree(scene_dir, d)
+    lines = [f"{f * 10} {ped} {0.3 * f} {float(ped)}" for f in range(12) for ped in range(3)]
+    (d / "short.txt").write_text("\n".join(lines) + "\n")
     return d
 
 
@@ -92,6 +105,19 @@ class TestPrep:
              "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+    def test_non_utf8_scene_file_names_file(self, scene_dir, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(scene_dir, scenes)
+        bad = scenes / "bad.txt"
+        bad.write_bytes(b"\xff0 1 2.0 3.0\n")
+        rc = main(
+            ["prep", "--scene-dir", str(scenes), "--held-out", "eth",
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDumpGraph:
@@ -192,6 +218,17 @@ class TestTrainEval:
         assert doc["n_samples"] == 3
         assert doc["aggregate"]["ade_mean"] >= 0
         assert doc["config_echo"]["graph_config"]["neighborhood"] == "view"
+
+    def test_eval_held_out_scene_without_windows_exit_2(self, short_scene_dir, ckpt,
+                                                        tmp_path, capsys):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["eval", "--ckpt", str(ckpt), "--scene-dir", str(short_scene_dir),
+             "--held-out", "short", "--report", str(report)]
+        )
+        assert rc == 2
+        assert "held-out scene 'short' has no 20-frame window" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_eval_deterministic(self, scene_dir, ckpt, tmp_path):
         reports = []
@@ -444,17 +481,28 @@ class TestConfigFile:
         assert rc == 0
         assert len(list(csv.reader(hist.open()))) == 2  # header + 1 epoch
 
-    def test_malformed_json_names_file(self, scene_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("content, message", [
+        ('{"epochs": 3\n', "Expecting ',' delimiter"),
+        (None, "Is a directory"),
+        (b'\xff{"epochs": 3}', "can't decode byte 0xff"),
+    ], ids=["malformed", "directory", "not-utf8"])
+    def test_malformed_json_names_file(self, scene_dir, tmp_path, capsys,
+                                       content, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"epochs": 3\n')
+        if content is None:
+            cfg.mkdir()
+        elif isinstance(content, bytes):
+            cfg.write_bytes(content)
+        else:
+            cfg.write_text(content)
         rc = main(
             ["prep", "--config", str(cfg), "--scene-dir", str(scene_dir),
              "--held-out", "eth", "--out", str(tmp_path / "o")]
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(cfg) in err
-        assert "Expecting ',' delimiter" in err
+        assert f"error: {cfg}: " in err
+        assert message in err
 
     def test_config_equals_form(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -499,6 +547,21 @@ def test_sweep_small(scene_dir, tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["method", "kernel", "zara01_ade", "zara01_fde"]
     assert len(rows) == 10  # baseline + 4 neighborhoods x 2 kernels
+
+
+def test_sweep_held_out_scene_without_windows_exit_2(short_scene_dir, tmp_path,
+                                                     monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli_mod, "train", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sweep.csv"
+    rc = main(
+        ["sweep", "--scene-dir", str(short_scene_dir), "--held-out", "short",
+         "--epochs", "1", "--out", str(out), "--quiet"]
+    )
+    assert rc == 2
+    assert "held-out scene 'short' has no 20-frame window" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1.5", "nan"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdgnn.graphs as graphs_mod
 from crowdgnn.data import TrajectoryWindow, compute_displacements
 from crowdgnn.graphs import (
     ApproachSense,
@@ -272,6 +273,19 @@ class TestWholeWindowBuilder:
                 assert np.array_equal(g, e), (name, cfg)
                 assert np.array_equal(np.signbit(g), np.signbit(e)), (name, cfg)
 
+    @pytest.mark.parametrize("block", [1, 200, 300], ids=["1-frame", "2-frame", "3-frame"])
+    def test_frame_blocks_bitwise_equal_one_block(self, monkeypatch, block):
+        # at N=10 the default block holds all 8 frames; 300 leaves a ragged
+        # last block of 2
+        w = crowd_window(np.random.default_rng(1), 10, 8)
+        cfgs = list(all_configs())
+        want = [graph_adjacency(w, cfg) for cfg in cfgs]
+        monkeypatch.setattr(graphs_mod, "PAIRWISE_BLOCK", block)
+        for cfg, e in zip(cfgs, want):
+            g = graph_adjacency(w, cfg)
+            assert np.array_equal(g, e), cfg
+            assert np.array_equal(np.signbit(g), np.signbit(e)), cfg
+
     def test_permuting_pedestrians_permutes_graphs(self, rng):
         w = random_window(rng, n_peds=10)
         perm = rng.permutation(w.n_peds)
@@ -293,8 +307,9 @@ class TestWholeWindowBuilder:
          social_stgcnn_baseline_config()],
         ids=["view-approach-exp", "view-thresh-inv", "baseline"],
     )
-    def test_peak_memory_below_two_and_a_half_graphs(self, cfg):
-        # at most two [T_obs, N, N] float64 buffers live at once, plus bool gates
+    def test_peak_memory_below_two_graphs(self, cfg):
+        # one [T_obs, N, N] float64 buffer, plus bool gates and the pairwise
+        # temporaries of one block of frames
         w = random_window(np.random.default_rng(0), n_peds=200, t_obs=8)
         tracemalloc.start()
         try:
@@ -302,7 +317,7 @@ class TestWholeWindowBuilder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * w.t_obs * w.n_peds**2 * 8
+        assert peak < 2.0 * w.t_obs * w.n_peds**2 * 8
 
 
 class TestLaplacian:

@@ -21,6 +21,7 @@ from crowdgnn.model import (
     ModelParameters,
     _correlate,
     _plane_conv,
+    _plane_conv_backward,
     forward_chunk,
     forward_raw,
     st_gcn_forward,
@@ -182,13 +183,70 @@ def assert_rel_close(got, want, rel=1e-12):
 def test_fused_conv_matches_per_offset_oracle(rng, n):
     x, w, b = rng.normal(size=(8, n, 5)), rng.normal(size=(12, 8, 3, 3)), rng.normal(size=12)
     u = rng.normal(size=(12, n, 5))
-    xv, wv, bv = Var(x.copy()), Var(w.copy()), Var(b.copy())
-    out = _plane_conv(xv, wv, bv)
-    weighted_sum(out, u).backward()
-    fused = (out.data, xv.grad, wv.grad, bv.grad)
+    out = _plane_conv(x, w, b)
+    fused = (out, *_plane_conv_backward(u.copy(), x, w))
     for got, want in zip(fused, plane_conv_oracle(x, w, b, u)):
         assert got.shape == want.shape
         assert_rel_close(got, want)
+
+
+def txp_vjp_oracle(h, p: ModelParameters, u, gaps=()):
+    """Output of the TXP stack and the gradients of sum(out * u) for h
+    and the txp.* parameters, composed from `plane_conv_oracle` with NumPy
+    PReLUs and residual sums. Gap rows of each conv's output are zero and
+    pass no gradient."""
+
+    def conv(x, name, up):
+        up = up.copy()
+        up[:, gaps] = 0.0
+        w, b = p[name + ".w"].data, p[name + ".b"].data
+        out, gx, gw, gb = plane_conv_oracle(x, w, b, up)
+        out[:, gaps] = 0.0
+        return out, gx, gw, gb
+
+    ins, pres = [], []
+    x = h
+    for i in range(TXP_LAYERS):
+        ins.append(x)
+        pre = conv(x, f"txp.{i}", np.zeros((len(p[f"txp.{i}.b"].data),) + x.shape[1:]))[0]
+        pres.append(pre)
+        act = np.where(pre > 0, pre, p[f"txp.{i}.prelu"].data * pre)
+        x = act if i == 0 else act + x
+    grads = {}
+    out, gx, grads["txp.out.w"], grads["txp.out.b"] = conv(x, "txp.out", u)
+    for i in reversed(range(TXP_LAYERS)):
+        pre, slope = pres[i], p[f"txp.{i}.prelu"].data
+        grads[f"txp.{i}.prelu"] = np.sum(gx * np.where(pre > 0, 0.0, pre))
+        gpre = gx * np.where(pre > 0, 1.0, slope)
+        _, gin, grads[f"txp.{i}.w"], grads[f"txp.{i}.b"] = conv(ins[i], f"txp.{i}", gpre)
+        gx = gin if i == 0 else gx + gin
+    grads["h"] = gx
+    return out, grads
+
+
+@pytest.mark.parametrize(
+    "n, gaps",
+    [(1, []), (2, []), (5, []), (30, []), (5 + 2 + 17 + 2, [5, 8])],
+    ids=["txp-1", "txp-2", "txp-5", "txp-30", "txp-chunk"],
+)
+def test_txp_backward_matches_oracle(rng, n, gaps):
+    # the last case is a stacked chunk of 5, 2 and 17 pedestrians
+    p = small_params()
+    x = rng.normal(size=(8, n, GAUSSIAN_CHANNELS))
+    x[:, gaps] = 0.0  # as the ST-GCN layer leaves them
+    u = rng.normal(size=(12, n, GAUSSIAN_CHANNELS))
+    h = Var(x.copy())
+    out = txp_forward(h, p, gaps)
+    weighted_sum(out, u).backward()
+    want_out, want = txp_vjp_oracle(x, p, u, gaps)
+    assert_rel_close(out.data, want_out)
+    assert_rel_close(h.grad, want.pop("h"))
+    assert sorted(want) == sorted(name for name, _ in p.items() if name.startswith("txp."))
+    assert len(want) == 17
+    for name, g in want.items():
+        assert p[name].grad.shape == g.shape
+        assert_rel_close(p[name].grad, g)
+    assert all(t.grad is None for name, t in p.items() if name.startswith("stgcn."))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
@@ -256,8 +314,7 @@ def test_correlate_bitwise_equal_oracle_in_a_stacked_chunk(rng, monkeypatch):
 
 
 def test_forward_tape_size(rng, monkeypatch):
-    # one node per layer op: the ST-GCN layer and each convolution are single
-    # ops, the PReLUs and residual sums of the TXP stack one node each
+    # one node per layer: the ST-GCN layer and the TXP stack are single ops
     created = 0
     init = Var.__init__
 
@@ -270,20 +327,20 @@ def test_forward_tape_size(rng, monkeypatch):
     p = small_params()
     monkeypatch.setattr(Var, "__init__", counting_init)
     forward_raw(w, GraphConfig(), p)
-    assert created == 16
+    assert created == 2
     # the Gaussian head adds one node: constrain + NLL + mean are one op, and
     # the 1/B batch weight is the backward seed, so this is a trained window
     created = 0
     window_nll(w, GraphConfig(), p)
-    assert created == 17
+    assert created == 3
     # a chunk of 3 stacked windows records the same nodes as one window
     chunk = [w, random_window(rng, n_peds=2), random_window(rng, n_peds=7)]
     created = 0
     forward_chunk(chunk, GraphConfig(), p)
-    assert created == 16
+    assert created == 2
     created = 0
     chunk_nll(chunk, GraphConfig(), p)
-    assert created == 17
+    assert created == 3
 
 
 class TestStGcn:
@@ -354,13 +411,12 @@ class TestTxp:
         assert np.allclose(out.data, 0.0)
 
     def test_first_layer_homogeneity(self, rng):
-        from crowdgnn.model import _plane_conv
-
         p = small_params()
+        w, b = p["txp.0.w"].data, p["txp.0.b"].data
         h = rng.normal(size=(8, 3, 5))
-        one = _plane_conv(Var(h), p["txp.0.w"], p["txp.0.b"]).data
-        two = _plane_conv(Var(2 * h), p["txp.0.w"], p["txp.0.b"]).data
-        bias_plane = _plane_conv(Var(0 * h), p["txp.0.w"], p["txp.0.b"]).data
+        one = _plane_conv(h, w, b)
+        two = _plane_conv(2 * h, w, b)
+        bias_plane = _plane_conv(0 * h, w, b)
         assert np.allclose(two - bias_plane, 2 * (one - bias_plane), atol=1e-10)
 
     def test_wrong_frame_count_raises(self, rng):
