@@ -5,6 +5,8 @@ input node, and its hand-written backward writes that node's and its
 parameters' gradients. The model records three: the ST-GCN layer and the
 TXP stack (``model``), and the Gaussian head (``gaussian``). All arithmetic
 is float64; gradients accumulate into ``.grad`` buffers shaped as ``.data``.
+A parameter leaf's buffers are views of ``model.ModelParameters``' vectors;
+a chain node allocates its gradient on first write (``_ensure_grad``).
 """
 from __future__ import annotations
 

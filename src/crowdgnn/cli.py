@@ -139,9 +139,10 @@ def _load_split(args, need_test: bool = False) -> tuple[dict, DatasetSplit]:
 def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig | None, dict]:
     """(parameters, stored graph config or None, extra config) of a checkpoint."""
     params, extra = ModelParameters.load(path)
-    stored = extra.get("graph_config")
+    if "graph_config" not in extra:
+        return params, None, extra
     try:
-        return params, None if stored is None else GraphConfig(**stored), extra
+        return params, GraphConfig(**extra["graph_config"]), extra
     except (TypeError, ValueError) as exc:  # e.g. an unknown enum value
         raise ValueError(f"{path}: invalid graph_config: {exc}") from None
 
@@ -316,6 +317,12 @@ def cmd_export_plot(args) -> int:
     if not matches:
         raise UsageError(f"unknown window id {args.window_id!r}")
     w = matches[0]
+    if (w.t_obs, w.t_pred) != (params.cfg.t_obs, params.cfg.t_pred):
+        raise UsageError(
+            f"{args.archive}: window {w.window_id} has t_obs={w.t_obs}, "
+            f"t_pred={w.t_pred}, but {args.ckpt} was trained with "
+            f"t_obs={params.cfg.t_obs}, t_pred={params.cfg.t_pred}"
+        )
     rows = []
     for i in range(w.n_peds):
         for t in range(w.t_obs):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -46,21 +46,6 @@ PRELU_INIT = 0.25
 # tens of MB for the whole run, so larger windows rebuild theirs per forward
 CHUNK_PEDESTRIANS = 32
 
-# settings that earlier checkpoints store in their header; each must hold
-# the value the architecture now fixes
-FIXED_MODEL_SETTINGS = {
-    "in_features": IN_FEATURES,
-    "gaussian_channels": GAUSSIAN_CHANNELS,
-    "stgcn_temporal_kernel": STGCN_TEMPORAL_KERNEL,
-    "txp_layers": TXP_LAYERS,
-    "txp_kernel": TXP_KERNEL,
-    "stgcn_residual": True,
-    "stgcn_bias": True,
-    "txp_residual": True,
-    "prelu_init": PRELU_INIT,
-}
-FIXED_GRAPH_SETTINGS = {"bearing_gate": False}
-
 
 @dataclass
 class ModelConfig:
@@ -85,61 +70,62 @@ def _same(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _drop_fixed(path, section: str, stored: dict, fixed: dict, cls) -> dict:
-    """`stored` without the settings in `fixed`, which must hold their value.
-
-    Any key that is neither fixed nor a field of `cls` is rejected.
-    """
-    if not isinstance(stored, dict):
-        raise ValueError(f"{path}: {section} must be an object, got {stored!r}")
-    known = {f.name for f in fields(cls)}
-    kept = {}
-    for key, value in stored.items():
-        if key in known:
-            kept[key] = value
-        elif key not in fixed:
-            raise ValueError(f"{path}: unknown {section} key {key!r} = {value!r}")
-        elif not _same(value, fixed[key]):
-            raise ValueError(
-                f"{path}: {section} key {key!r} = {value!r}, but the "
-                f"architecture fixes it at {fixed[key]!r}"
-            )
-    return kept
+def _parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple, int | None]]:
+    """(name, shape, fan_in) of each parameter tensor in checkpoint-table
+    order; a PReLU slope has no fan-in and starts at PRELU_INIT."""
+    c, kt, k = GAUSSIAN_CHANNELS, STGCN_TEMPORAL_KERNEL, TXP_KERNEL
+    specs = [
+        ("stgcn.w_spatial", (IN_FEATURES, c), IN_FEATURES),
+        ("stgcn.b_spatial", (c,), IN_FEATURES),
+        ("stgcn.w_temporal", (kt, c, c), kt * c),
+        ("stgcn.b_temporal", (c,), kt * c),
+        ("stgcn.w_residual", (IN_FEATURES, c), IN_FEATURES),
+        ("stgcn.b_residual", (c,), IN_FEATURES),
+        ("stgcn.prelu", (), None),
+    ]
+    t_in = cfg.t_obs
+    for i in range(TXP_LAYERS):
+        fan = t_in * k * k
+        specs += [(f"txp.{i}.w", (cfg.t_pred, t_in, k, k), fan),
+                  (f"txp.{i}.b", (cfg.t_pred,), fan), (f"txp.{i}.prelu", (), None)]
+        t_in = cfg.t_pred
+    # linear readout keeps the parameter budget near the reference size
+    fan = cfg.t_pred * k * k
+    specs += [("txp.out.w", (cfg.t_pred, cfg.t_pred, k, k), fan),
+              ("txp.out.b", (cfg.t_pred,), fan)]
+    return specs
 
 
 class ModelParameters:
-    """Named parameter tensors with uniform +-1/sqrt(fan_in) initialization."""
+    """Named parameter tensors with uniform +-1/sqrt(fan_in) initialization.
+
+    All parameters live in one float64 vector `theta`, and their gradients
+    in one vector `grad`, both in checkpoint-table order. Each named tensor
+    is a `Var` whose `.data` and `.grad` are views into them, so an update,
+    a snapshot or a checkpoint is one array op. Write into those views in
+    place: rebinding `.data` or `.grad` detaches the tensor from `theta`.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
+        specs = _parameter_specs(cfg)
+        size = sum(math.prod(shape) for _, shape, _ in specs)
+        self.theta = np.empty(size)
+        self.grad = np.zeros(size)
         self.tensors: dict[str, Var] = {}
         rng = np.random.default_rng(seed)
-        c, kt = GAUSSIAN_CHANNELS, STGCN_TEMPORAL_KERNEL
-        self._add("stgcn.w_spatial", (IN_FEATURES, c), rng, IN_FEATURES)
-        self._add("stgcn.b_spatial", (c,), rng, IN_FEATURES)
-        self._add("stgcn.w_temporal", (kt, c, c), rng, kt * c)
-        self._add("stgcn.b_temporal", (c,), rng, kt * c)
-        self._add("stgcn.w_residual", (IN_FEATURES, c), rng, IN_FEATURES)
-        self._add("stgcn.b_residual", (c,), rng, IN_FEATURES)
-        self.tensors["stgcn.prelu"] = Var(np.array(PRELU_INIT))
-
-        k = TXP_KERNEL
-        fan1 = cfg.t_obs * k * k
-        self._add("txp.0.w", (cfg.t_pred, cfg.t_obs, k, k), rng, fan1)
-        self._add("txp.0.b", (cfg.t_pred,), rng, fan1)
-        self.tensors["txp.0.prelu"] = Var(np.array(PRELU_INIT))
-        fan = cfg.t_pred * k * k
-        for i in range(1, TXP_LAYERS):
-            self._add(f"txp.{i}.w", (cfg.t_pred, cfg.t_pred, k, k), rng, fan)
-            self._add(f"txp.{i}.b", (cfg.t_pred,), rng, fan)
-            self.tensors[f"txp.{i}.prelu"] = Var(np.array(PRELU_INIT))
-        # linear readout keeps the parameter budget near the reference size
-        self._add("txp.out.w", (cfg.t_pred, cfg.t_pred, k, k), rng, fan)
-        self._add("txp.out.b", (cfg.t_pred,), rng, fan)
-
-    def _add(self, name, shape, rng, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        self.tensors[name] = Var(rng.uniform(-bound, bound, size=shape))
+        offset = 0
+        for name, shape, fan_in in specs:
+            end = offset + math.prod(shape)
+            v = Var(self.theta[offset:end].reshape(shape))
+            v.grad = self.grad[offset:end].reshape(shape)
+            if fan_in is None:
+                v.data[...] = PRELU_INIT
+            else:
+                bound = 1.0 / np.sqrt(fan_in)
+                v.data[...] = rng.uniform(-bound, bound, size=shape)
+            self.tensors[name] = v
+            offset = end
 
     def __getitem__(self, name: str) -> Var:
         return self.tensors[name]
@@ -148,8 +134,7 @@ class ModelParameters:
         return self.tensors.items()
 
     def zero_grad(self):
-        for v in self.tensors.values():
-            v.grad = None
+        self.grad.fill(0.0)
 
     def summary(self) -> dict:
         per_tensor = {name: int(v.data.size) for name, v in self.tensors.items()}
@@ -173,13 +158,13 @@ class ModelParameters:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(hbytes)))
             fh.write(hbytes)
-            for v in self.tensors.values():
-                fh.write(np.ascontiguousarray(v.data, dtype="<f8").tobytes())
+            fh.write(self.theta.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path) -> tuple["ModelParameters", dict]:
         """Parameters and extra config of a checkpoint, checked against the
-        fixed architecture; settings it fixes are dropped from the header."""
+        fixed architecture: the header's model_config holds exactly the
+        horizons t_obs and t_pred."""
         with open(path, "rb") as fh:
             if fh.read(4) != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a checkpoint file")
@@ -198,21 +183,18 @@ class ModelParameters:
                     f"{path}: unsupported checkpoint version {header['format_version']}"
                 )
             payload = fh.read()
-        kept = _drop_fixed(path, "model_config", header.get("model_config"),
-                           FIXED_MODEL_SETTINGS, ModelConfig)
-        cfg = ModelConfig(**kept)
+        stored = header.get("model_config")
+        if not isinstance(stored, dict):
+            raise ValueError(f"{path}: model_config must be an object, got {stored!r}")
+        odd = [key for key in stored if key not in ("t_obs", "t_pred")]
+        if odd:
+            raise ValueError(f"{path}: unknown model_config key {odd[0]!r}")
+        t_obs, t_pred = stored.get("t_obs"), stored.get("t_pred")  # None if absent
         # bool is an int subclass, so JSON true would pass isinstance(..., int)
-        if not (type(cfg.t_obs) is type(cfg.t_pred) is int
-                and cfg.t_obs >= 2 and cfg.t_pred >= 1):
+        if not (type(t_obs) is type(t_pred) is int and t_obs >= 2 and t_pred >= 1):
             raise ValueError(f"{path}: model_config needs integers t_obs >= 2 and "
-                             f"t_pred >= 1, got {cfg.t_obs!r} and {cfg.t_pred!r}")
-        extra = header["extra_config"]
-        if "graph_config" in extra:
-            extra["graph_config"] = _drop_fixed(
-                path, "graph_config", extra["graph_config"], FIXED_GRAPH_SETTINGS,
-                GraphConfig,
-            )
-        params = cls(cfg)
+                             f"t_pred >= 1, got {t_obs!r} and {t_pred!r}")
+        params = cls(ModelConfig(t_obs, t_pred))
         want = _tensor_table((name, v.data.shape) for name, v in params.items())
         for got_entry, want_entry in zip_longest(header["tensors"], want):
             if not _same(got_entry, want_entry):
@@ -220,19 +202,16 @@ class ModelParameters:
                     f"{path}: tensor table entry {got_entry} does not match "
                     f"the model's {want_entry}"
                 )
-        size = 8 * sum(v.data.size for _, v in params.items())
-        if len(payload) != size:
+        if len(payload) != params.theta.nbytes:
             raise ValueError(
                 f"{path}: payload holds {len(payload)} bytes, the tensor table "
-                f"needs {size}"
+                f"needs {params.theta.nbytes}"
             )
-        for entry, v in zip(want, params.tensors.values()):
-            v.data = np.frombuffer(
-                payload, dtype="<f8", count=v.data.size, offset=entry["offset"]
-            ).reshape(v.data.shape).copy()
+        params.theta[...] = np.frombuffer(payload, dtype="<f8")
+        for name, v in params.items():
             if not np.all(np.isfinite(v.data)):
-                raise ValueError(f"{path}: tensor {entry['name']} holds non-finite values")
-        return params, extra
+                raise ValueError(f"{path}: tensor {name} holds non-finite values")
+        return params, header["extra_config"]
 
 
 def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -332,22 +311,22 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
             g[:, gaps] = 0.0
         vt = np.swapaxes(v, -1, -2)
         gb = g.sum(axis=(0, 1))
-        br._ensure_grad()[...] += gb
-        wr._ensure_grad()[...] += (vt @ g).sum(axis=0)
-        bt._ensure_grad()[...] += gb
+        br.grad += gb
+        wr.grad += (vt @ g).sum(axis=0)
+        bt.grad += gb
         gw = cols @ g.reshape(-1, g.shape[-1])  # rows (c_in, k), columns c_out
-        wt._ensure_grad()[...] += gw.reshape(wt.shape[1], wt.shape[0], -1).swapaxes(0, 1)
+        wt.grad += gw.reshape(wt.shape[1], wt.shape[0], -1).swapaxes(0, 1)
         gact = _correlate(g.transpose(2, 0, 1), wk[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
         gact = gact.transpose(1, 2, 0)
-        slope._ensure_grad()[...] += np.sum(gact * np.where(pos, 0.0, pre))
+        slope.grad += np.sum(gact * np.where(pos, 0.0, pre))
         gpre = gact * np.where(pos, 1.0, slope.data)
         gmix = np.empty_like(gpre)
         for a, r in zip(graphs, rows):
             np.matmul(np.swapaxes(a, -1, -2), gpre[:, r], out=gmix[:, r])
         if gaps:
             gmix[:, gaps] = 0.0
-        bs._ensure_grad()[...] += gmix.sum(axis=(0, 1))
-        ws._ensure_grad()[...] += (vt @ gmix).sum(axis=0)
+        bs.grad += gmix.sum(axis=(0, 1))
+        ws.grad += (vt @ gmix).sum(axis=0)
 
     return Var(y, None, bw)
 
@@ -374,17 +353,17 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
 
     def bw(g):
         gx, gw, gb = _plane_conv_backward(g, x, wo.data, gaps)  # x: the readout's input
-        wo._ensure_grad()[...] += gw
-        bo._ensure_grad()[...] += gb
+        wo.grad += gw
+        bo.grad += gb
         for i in reversed(range(TXP_LAYERS)):
             w, b, slope, x_in, pre = layers[i]
             pos = pre > 0
-            slope._ensure_grad()[...] += np.sum(gx * np.where(pos, 0.0, pre))
+            slope.grad += np.sum(gx * np.where(pos, 0.0, pre))
             gin, gw, gb = _plane_conv_backward(
                 gx * np.where(pos, 1.0, slope.data), x_in, w.data, gaps
             )
-            w._ensure_grad()[...] += gw
-            b._ensure_grad()[...] += gb
+            w.grad += gw
+            b.grad += gb
             gx = gin if i == 0 else gx + gin  # the residual passes gx through
         h._ensure_grad()[...] += gx
 

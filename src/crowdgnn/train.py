@@ -116,18 +116,15 @@ def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters,
 
 
 def sgd_step(params: ModelParameters, lr: float, cfg: TrainConfig) -> None:
-    """p <- p - lr * g, with optional global-norm clipping."""
-    grads = {
-        name: (v.grad if v.grad is not None else np.zeros_like(v.data))
-        for name, v in params.items()
-    }
+    """theta <- theta - lr * g, with optional global-norm clipping."""
+    g = params.grad
     if cfg.clip_norm is not None:
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        # summed per tensor in table order: one `g @ g` sums in another order
+        # and moves clipped runs in the last bits
+        total = np.sqrt(sum(float(np.sum(v.grad * v.grad)) for _, v in params.items()))
         if total > cfg.clip_norm:
-            scale = cfg.clip_norm / total
-            grads = {name: g * scale for name, g in grads.items()}
-    for name, v in params.items():
-        v.data = v.data - lr * grads[name]
+            g = g * (cfg.clip_norm / total)
+    params.theta -= lr * g
 
 
 def evaluate_nll(windows, graph_cfg: GraphConfig, params: ModelParameters,
@@ -158,7 +155,7 @@ def train(
     params = ModelParameters(model_cfg, seed=cfg.seed)
     history: list[EpochRecord] = []
     best_nll = np.inf
-    best_state = {name: v.data.copy() for name, v in params.items()}
+    best_theta = params.theta.copy()
     kept = kept_graphs(split.train + split.val, graph_cfg)
 
     extra = {"graph_config": graph_cfg.to_dict(), "train_config": cfg.to_dict()}
@@ -205,14 +202,13 @@ def train(
         select = val_nll if split.val else train_nll
         if select < best_nll:
             best_nll = select
-            best_state = {name: v.data.copy() for name, v in params.items()}
+            best_theta = params.theta.copy()
             if ckpt_path is not None:
                 params.save(ckpt_path, extra_config=extra)
         if log is not None:
             log(history[-1])
 
-    for name, v in params.items():
-        v.data = best_state[name]
+    params.theta[...] = best_theta
     return params, history
 
 

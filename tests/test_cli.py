@@ -12,10 +12,10 @@ from crowdgnn.data import (
     load_windows, save_windows,
 )
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
-from crowdgnn.model import ModelParameters, chunks
+from crowdgnn.model import ModelConfig, ModelParameters, chunks
 from conftest import random_window
 from test_data import _faulty
-from test_model import add_earlier_settings, rewrite_header
+from test_model import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +198,7 @@ def overflow_ckpt(ckpt, tmp_path_factory):
     """The trained checkpoint with every tensor times 1e150: finite weights
     whose forward overflows to non-finite raw outputs."""
     params, extra = ModelParameters.load(ckpt)
-    for _, v in params.items():
-        v.data = v.data * 1e150
+    params.theta *= 1e150
     path = tmp_path_factory.mktemp("overflow") / "big.ckpt"
     params.save(path, extra_config=extra)
     return path
@@ -243,24 +242,28 @@ class TestTrainEval:
         assert reports[0]["aggregate"] == reports[1]["aggregate"]
 
     def test_earlier_checkpoint_header(self, scene_dir, ckpt, tmp_path, capsys):
-        def eval_rc(path, report):
-            return main(
-                ["eval", "--ckpt", str(path), "--scene-dir", str(scene_dir),
-                 "--held-out", "eth", "--samples", "3", "--seed", "1",
-                 "--report", str(report)]
-            )
+        # headers written before the architecture was fixed stored its
+        # settings beside the horizons; such a header is rejected
+        def add_earlier_settings(h):
+            h["model_config"] = {
+                "t_obs": 8, "t_pred": 12, "in_features": 2, "gaussian_channels": 5,
+                "stgcn_temporal_kernel": 3, "txp_layers": 5, "txp_kernel": 3,
+                "stgcn_residual": True, "stgcn_bias": True, "txp_residual": True,
+                "prelu_init": 0.25,
+            }
+            h["extra_config"]["graph_config"]["bearing_gate"] = False
 
         earlier = tmp_path / "earlier.ckpt"
         earlier.write_bytes(ckpt.read_bytes())
         rewrite_header(earlier, add_earlier_settings)
-        assert eval_rc(ckpt, tmp_path / "a.json") == 0
-        assert eval_rc(earlier, tmp_path / "b.json") == 0
-        a, b = (json.loads((tmp_path / n).read_text()) for n in ("a.json", "b.json"))
-        assert a["per_window"] == b["per_window"]
-
-        rewrite_header(earlier, lambda h: h["model_config"].update(txp_residual=False))
-        assert eval_rc(earlier, tmp_path / "c.json") == 2
-        assert "earlier.ckpt: model_config key 'txp_residual'" in capsys.readouterr().err
+        rc = main(
+            ["eval", "--ckpt", str(earlier), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert (f"error: {earlier}: unknown model_config key 'in_features'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
 
     def test_non_finite_checkpoint_exit_2(self, scene_dir, ckpt, tmp_path, capsys):
         params, extra = ModelParameters.load(ckpt)
@@ -328,11 +331,14 @@ class TestTrainEval:
          lambda h: h["model_config"].update(stgcn_residual=1),
          lambda h: h["extra_config"]["graph_config"].update(bearing_gate=0),
          lambda h: h["extra_config"]["graph_config"].update(epsilon=True),
-         lambda h: h["extra_config"]["graph_config"].update(self_loops=1)],
+         lambda h: h["extra_config"]["graph_config"].update(self_loops=1),
+         lambda h: h.update(model_config={}),
+         lambda h: h.update(model_config={"t_obs": 8})],
         ids=["no-format-version", "no-tensors", "list", "t_obs-string",
              "model_config-null", "bogus-neighborhood", "format_version-true",
              "format_version-float", "offset-float", "shape-float", "txp_layers-float",
-             "stgcn_residual-int", "bearing_gate-int", "epsilon-true", "self_loops-int"],
+             "stgcn_residual-int", "bearing_gate-int", "epsilon-true", "self_loops-int",
+             "model_config-empty", "no-t_pred"],
     )
     def test_malformed_header_names_file(self, scene_dir, ckpt, tmp_path, mutate, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -418,6 +424,32 @@ class TestExportPlot:
         err = capsys.readouterr().err
         assert f"failure: window {w.window_id}: non-finite raw Gaussian parameters" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "window_horizons, ckpt_horizons",
+        [((8, 12), (8, 4)), ((8, 4), (8, 12)), ((5, 12), (8, 12))],
+        ids=["window-t_pred-longer", "window-t_pred-shorter", "t_obs"],
+    )
+    def test_horizon_mismatch_exit_2(self, tmp_path, rng, capsys, window_horizons,
+                                     ckpt_horizons):
+        ckpt = tmp_path / "m.ckpt"
+        ModelParameters(ModelConfig(*ckpt_horizons)).save(
+            ckpt, extra_config={"graph_config": GraphConfig().to_dict()}
+        )
+        archive = tmp_path / "w.npz"
+        w = random_window(rng, t_obs=window_horizons[0], t_pred=window_horizons[1])
+        save_windows(archive, [w])
+        out = tmp_path / "x.csv"
+        rc = main(
+            ["export-plot", "--ckpt", str(ckpt), "--archive", str(archive),
+             "--window-id", w.window_id, "--samples", "2", "--out", str(out)]
+        )
+        assert rc == 2
+        assert (f"{archive}: window {w.window_id} has t_obs={window_horizons[0]}, "
+                f"t_pred={window_horizons[1]}, but {ckpt} was trained with "
+                f"t_obs={ckpt_horizons[0]}, t_pred={ckpt_horizons[1]}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_window_exit_2(self, prep_dir, ckpt, tmp_path):
         rc = main(

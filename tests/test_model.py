@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import crowdgnn.model as model_mod
 
 from crowdgnn.autodiff import Var
-from crowdgnn.data import TrajectoryWindow
+from crowdgnn.data import DatasetSplit, TrajectoryWindow
 from crowdgnn.graphs import GraphConfig
 from crowdgnn.model import (
     CHECKPOINT_MAGIC,
@@ -27,7 +27,7 @@ from crowdgnn.model import (
     st_gcn_forward,
     txp_forward,
 )
-from crowdgnn.train import chunk_nll, window_nll
+from crowdgnn.train import TrainConfig, chunk_nll, sgd_step, train, window_nll
 from conftest import random_window, weighted_sum
 
 
@@ -37,8 +37,7 @@ def small_params():
 
 def zero_params() -> ModelParameters:
     p = small_params()
-    for name, v in p.items():
-        v.data = np.zeros_like(v.data)
+    p.theta.fill(0.0)
     return p
 
 
@@ -246,7 +245,7 @@ def test_txp_backward_matches_oracle(rng, n, gaps):
     for name, g in want.items():
         assert p[name].grad.shape == g.shape
         assert_rel_close(p[name].grad, g)
-    assert all(t.grad is None for name, t in p.items() if name.startswith("stgcn."))
+    assert all(not t.grad.any() for name, t in p.items() if name.startswith("stgcn."))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
@@ -261,7 +260,7 @@ def test_stgcn_backward_matches_loop_oracle(rng, n):
     for name, want in stgcn_vjp_oracle(v, normalized, p, u).items():
         assert p[name].grad.shape == want.shape
         assert_rel_close(p[name].grad, want)
-    assert all(t.grad is None for name, t in p.items() if name.startswith("txp."))
+    assert all(not t.grad.any() for name, t in p.items() if name.startswith("txp."))
 
 
 def correlate_oracle(x, w):
@@ -346,9 +345,9 @@ def test_forward_tape_size(rng, monkeypatch):
 class TestStGcn:
     def test_identity_passthrough_single_node(self):
         p = zero_params()  # residual weights and all biases zero
-        p["stgcn.w_spatial"].data = np.eye(IN_FEATURES, GAUSSIAN_CHANNELS)
+        p["stgcn.w_spatial"].data[...] = np.eye(IN_FEATURES, GAUSSIAN_CHANNELS)
         p["stgcn.w_temporal"].data[1] = np.eye(GAUSSIAN_CHANNELS)  # center tap only
-        p["stgcn.prelu"].data = np.array(1.0)
+        p["stgcn.prelu"].data[...] = 1.0
         v = np.random.default_rng(0).normal(size=(8, 1, IN_FEATURES))
         normalized = np.ones((8, 1, 1))  # self-loop identity normalization
         out = st_gcn_forward(v, normalized, p)
@@ -358,7 +357,7 @@ class TestStGcn:
     def test_zero_mixing_annihilates(self, rng):
         p = small_params()
         for name in ("stgcn.b_temporal", "stgcn.w_residual", "stgcn.b_residual"):
-            p[name].data = np.zeros_like(p[name].data)
+            p[name].data[...] = 0.0
         v = rng.normal(size=(8, 3, 2))
         out = st_gcn_forward(v, np.zeros((8, 3, 3)), p)
         assert np.allclose(out.data, 0.0)
@@ -480,6 +479,46 @@ class TestBackward:
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-3), name
 
 
+def assert_views(p: ModelParameters, table: list[dict]) -> None:
+    """Every tensor's .data and .grad are contiguous views of p.theta and
+    p.grad at its byte offset in the checkpoint tensor `table`."""
+    assert [e["name"] for e in table] == [name for name, _ in p.items()]
+    end = 0
+    for entry, (name, v) in zip(table, p.items()):
+        for view, flat in ((v.data, p.theta), (v.grad, p.grad)):
+            assert view.base is flat and view.flags.c_contiguous, name
+            at = view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            assert at == entry["offset"], name
+        end = entry["offset"] + v.data.nbytes
+    assert end == p.theta.nbytes == p.grad.nbytes
+
+
+def checkpoint_parts(path) -> tuple[dict, bytes]:
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    return json.loads(raw[8 : 8 + hlen]), raw[8 + hlen :]
+
+
+class TestParameterVector:
+    def test_leaves_stay_views_of_theta(self, rng, tmp_path):
+        p = small_params()
+        path = tmp_path / "m.ckpt"
+        p.save(path)
+        table = checkpoint_parts(path)[0]["tensors"]
+        assert_views(p, table)
+        window_nll(random_window(rng), GraphConfig(), p).backward()
+        assert p.grad.any()
+        sgd_step(p, 0.01, TrainConfig(clip_norm=1e-3))
+        p.zero_grad()
+        assert not p.grad.any()
+        assert_views(p, table)
+        assert_views(ModelParameters.load(path)[0], table)
+        split = DatasetSplit(train=[random_window(rng) for _ in range(3)], val=[],
+                             test=[], held_out_scene="x")
+        trained, _ = train(split, GraphConfig(), TrainConfig(epochs=2, lr_switch_epoch=1))
+        assert_views(trained, table)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         p = small_params()
@@ -491,6 +530,24 @@ class TestCheckpoint:
         for name, v in p.items():
             assert np.array_equal(back[name].data, v.data)
         assert back.cfg == p.cfg
+
+    def test_payload_is_theta(self, tmp_path):
+        p = small_params()
+        path = tmp_path / "m.ckpt"
+        p.save(path)
+        assert checkpoint_parts(path)[1] == p.theta.tobytes()
+
+    def test_load_then_save_rewrites_the_file(self, rng, tmp_path):
+        # non-default horizons, clipping and the extra config all round-trip
+        ws = [random_window(rng, t_obs=6, t_pred=4) for _ in range(4)]
+        split = DatasetSplit(train=ws[:3], val=ws[3:], test=[], held_out_scene="x")
+        path = tmp_path / "trained.ckpt"
+        train(split, GraphConfig(), TrainConfig(epochs=2, lr_switch_epoch=1, clip_norm=1.0),
+              ModelConfig(t_obs=6, t_pred=4), ckpt_path=path)
+        back, extra = ModelParameters.load(path)
+        again = tmp_path / "again.ckpt"
+        back.save(again, extra_config=extra)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -536,54 +593,6 @@ class TestCheckpoint:
         rewrite_header(path, lambda h: h.update(tensors=h["tensors"][:-1]))
         with pytest.raises(ValueError, match="m.ckpt: tensor table entry None"):
             ModelParameters.load(path)
-
-    def test_earlier_header_with_fixed_settings_loads(self, tmp_path, rng):
-        path = tmp_path / "m.ckpt"
-        p = small_params()
-        p.save(path, extra_config={"graph_config": GraphConfig().to_dict()})
-        rewrite_header(path, add_earlier_settings)
-        back, extra = ModelParameters.load(path)
-        assert back.cfg == ModelConfig()
-        assert extra["graph_config"] == GraphConfig().to_dict()
-        w = random_window(rng)
-        a = forward_raw(w, GraphConfig(), p).data
-        assert np.array_equal(forward_raw(w, GraphConfig(), back).data, a)
-
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [("model", "txp_residual", False), ("model", "txp_layers", 4),
-         ("model", "dropout", 0.1), ("graph", "bearing_gate", True)],
-    )
-    def test_other_settings_rejected(self, tmp_path, section, key, value):
-        path = tmp_path / "m.ckpt"
-        small_params().save(path, extra_config={"graph_config": GraphConfig().to_dict()})
-
-        def mutate(h):
-            add_earlier_settings(h)
-            if section == "model":
-                h["model_config"][key] = value
-            else:
-                h["extra_config"]["graph_config"][key] = value
-
-        rewrite_header(path, mutate)
-        with pytest.raises(ValueError, match=f"m.ckpt: .*{key!r} = {value!r}"):
-            ModelParameters.load(path)
-
-
-# every model_config key a checkpoint carried before the architecture was fixed
-EARLIER_MODEL_CONFIG = {
-    "t_obs": 8, "t_pred": 12, "in_features": 2, "gaussian_channels": 5,
-    "stgcn_temporal_kernel": 3, "txp_layers": 5, "txp_kernel": 3,
-    "stgcn_residual": True, "stgcn_bias": True, "txp_residual": True,
-    "prelu_init": 0.25,
-}
-
-
-def add_earlier_settings(header):
-    header["model_config"] = dict(EARLIER_MODEL_CONFIG)
-    graph = header["extra_config"].get("graph_config")
-    if graph is not None:
-        graph["bearing_gate"] = False
 
 
 def rewrite_header(path, mutate):

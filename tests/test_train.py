@@ -58,9 +58,8 @@ class TestSchedule:
 class TestSgdStep:
     def setup_params(self, value, grad):
         p = ModelParameters(ModelConfig(), seed=0)
-        for _, v in p.items():
-            v.data = np.full_like(v.data, value)
-            v.grad = np.full_like(v.data, grad)
+        p.theta.fill(value)
+        p.grad.fill(grad)
         return p
 
     def test_zero_lr_noop(self):
@@ -79,12 +78,35 @@ class TestSgdStep:
         p = ModelParameters(ModelConfig(), seed=0)
         total = sum(v.data.size for _, v in p.items())
         g = 10.0 / np.sqrt(total)  # global grad norm exactly 10
-        for _, v in p.items():
-            v.data = np.zeros_like(v.data)
-            v.grad = np.full_like(v.data, g)
+        p.theta.fill(0.0)
+        p.grad.fill(g)
         sgd_step(p, 1.0, TrainConfig(clip_norm=1.0))
         for _, v in p.items():
             assert np.allclose(v.data, -g / 10.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("clip", [None, 10.0, 0.1], ids=["none", "inactive", "active"])
+    def test_bitwise_equal_to_per_tensor_update(self, rng, clip):
+        p = ModelParameters(ModelConfig(), seed=0)
+        p.grad[...] = rng.normal(size=p.grad.shape) / np.sqrt(p.grad.size)  # norm ~1
+        data = {name: v.data.copy() for name, v in p.items()}
+        grads = {name: v.grad.copy() for name, v in p.items()}
+        total = np.linalg.norm(p.grad)
+        sgd_step(p, 0.01, TrainConfig(clip_norm=clip))
+        want = per_tensor_sgd_step(data, grads, 0.01, clip)
+        assert clip is None or (total > clip) == (clip < 1.0)  # "active" clips
+        for name, v in p.items():
+            assert v.data.tobytes() == want[name].tobytes(), name
+
+
+def per_tensor_sgd_step(data: dict, grads: dict, lr: float, clip_norm) -> dict:
+    """The update one tensor at a time, clipped by the norm summed per tensor
+    in table order: the oracle for the one-vector `sgd_step`."""
+    if clip_norm is not None:
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if total > clip_norm:
+            scale = clip_norm / total
+            grads = {name: g * scale for name, g in grads.items()}
+    return {name: data[name] - lr * grads[name] for name in data}
 
 
 class TestTrainLoop:
