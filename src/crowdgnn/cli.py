@@ -51,16 +51,18 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_data_flags(p):
+def _add_data_flags(p, split: bool = True):
+    """--scene-dir and --stride; with `split`, the horizons and --val-fraction too."""
     p.add_argument(
         "--scene-dir",
         default=os.environ.get("CROWDGNN_DATA_DIR"),
         help="directory of per-scene .txt trajectory files",
     )
-    p.add_argument("--t-obs", type=int, default=8)
-    p.add_argument("--t-pred", type=int, default=12)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--stride", type=_int_at_least(1), default=1)
+    if split:
+        p.add_argument("--t-obs", type=_int_at_least(2), default=8)
+        p.add_argument("--t-pred", type=_int_at_least(1), default=12)
+        p.add_argument("--val-fraction", type=float, default=0.1)
 
 
 def _add_graph_flags(p):
@@ -112,35 +114,52 @@ def _train_cfg(args) -> TrainConfig:
     )
 
 
-def _load_split(args, need_test: bool = False) -> tuple[dict, DatasetSplit]:
-    """(windows per scene, leave-one-out split) of the scene directory; with
-    `need_test`, a held-out scene without windows is a usage error."""
+def _scene_dir(args) -> Path:
     if not args.scene_dir:
         raise UsageError("--scene-dir (or CROWDGNN_DATA_DIR) is required")
     scene_dir = Path(args.scene_dir)
     if not scene_dir.is_dir():
         raise UsageError(f"scene directory not found: {scene_dir}")
+    return scene_dir
+
+
+def _require_test(test: list, held_out: str, t_total: int) -> list:
+    if not test:  # fail before anything is trained or evaluated
+        raise UsageError(
+            f"held-out scene {held_out!r} has no {t_total}-frame window to evaluate"
+        )
+    return test
+
+
+def _load_split(args) -> tuple[dict, DatasetSplit]:
+    """(windows per scene, leave-one-out split) of the scene directory."""
     scenes = load_scene_dir(
-        scene_dir, t_obs=args.t_obs, t_pred=args.t_pred, stride=args.stride
+        _scene_dir(args), t_obs=args.t_obs, t_pred=args.t_pred, stride=args.stride
     )
     if not scenes:
         raise UsageError("no scene files")
     split = leave_one_out_split(
         scenes, args.held_out, val_fraction=args.val_fraction, seed=args.seed
     )
-    if need_test and not split.test:
-        raise UsageError(
-            f"held-out scene {args.held_out!r} has no "
-            f"{args.t_obs + args.t_pred}-frame window to evaluate"
-        )
     return scenes, split
 
 
-def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig | None, dict]:
-    """(parameters, stored graph config or None, extra config) of a checkpoint."""
+def _load_held_out(args, t_obs: int, t_pred: int) -> list:
+    """The windows of <scene-dir>/<held-out>.txt alone, cut with the given horizons."""
+    scene_dir = _scene_dir(args)
+    path = scene_dir / f"{args.held_out}.txt"
+    if path.parent != scene_dir or not path.is_file():
+        raise UsageError(f"held-out scene file not found: {path}")
+    tracks = data_mod.parse_trajectory_file(path)
+    windows = data_mod.make_windows(tracks, t_obs, t_pred, args.stride, args.held_out)
+    return _require_test(windows, args.held_out, t_obs + t_pred)
+
+
+def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig, dict]:
+    """(parameters, stored graph config, extra config) of a checkpoint."""
     params, extra = ModelParameters.load(path)
     if "graph_config" not in extra:
-        return params, None, extra
+        raise UsageError(f"{path}: checkpoint stores no graph config")
     try:
         return params, GraphConfig(**extra["graph_config"]), extra
     except (TypeError, ValueError) as exc:  # e.g. an unknown enum value
@@ -229,13 +248,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, graph_cfg, extra = _load_checkpoint(args.ckpt)
-    if graph_cfg is None:
-        graph_cfg = _graph_cfg(args)
-    args.t_obs = params.cfg.t_obs
-    args.t_pred = params.cfg.t_pred
-    _, split = _load_split(args, need_test=True)
+    test = _load_held_out(args, params.cfg.t_obs, params.cfg.t_pred)
     report = evaluate(
-        split.test,
+        test,
         graph_cfg,
         params,
         k=args.samples,
@@ -252,23 +267,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-SWEEP_GRID = [
-    ("social-stgcnn-baseline", None, None),
-    ("view", Neighborhood.VIEW, Kernel.INVERSE_NORM),
-    ("view-thresh", Neighborhood.VIEW_THRESH, Kernel.INVERSE_NORM),
-    ("approach", Neighborhood.APPROACH, Kernel.INVERSE_NORM),
-    ("view-approach", Neighborhood.VIEW_APPROACH, Kernel.INVERSE_NORM),
-    ("view", Neighborhood.VIEW, Kernel.EXP_DECAY),
-    ("view-thresh", Neighborhood.VIEW_THRESH, Kernel.EXP_DECAY),
-    ("approach", Neighborhood.APPROACH, Kernel.EXP_DECAY),
-    ("view-approach", Neighborhood.VIEW_APPROACH, Kernel.EXP_DECAY),
+SWEEP_GRID = [("social-stgcnn-baseline", social_stgcnn_baseline_config())] + [
+    (neighborhood.value, GraphConfig(neighborhood=neighborhood, kernel=kernel))
+    for kernel in (Kernel.INVERSE_NORM, Kernel.EXP_DECAY)
+    for neighborhood in (Neighborhood.VIEW, Neighborhood.VIEW_THRESH,
+                         Neighborhood.APPROACH, Neighborhood.VIEW_APPROACH)
 ]
 
 
 def cmd_sweep(args) -> int:
     if not 0 < args.subsample <= 1:  # NaN too
         raise UsageError(f"--subsample must be in (0, 1], got {args.subsample}")
-    _, split = _load_split(args, need_test=True)
+    _, split = _load_split(args)
+    _require_test(split.test, args.held_out, args.t_obs + args.t_pred)
     if args.subsample < 1.0:
         rng = np.random.default_rng(args.seed)
 
@@ -284,19 +295,13 @@ def cmd_sweep(args) -> int:
     train_cfg = _train_cfg(args)
     model_cfg = ModelConfig(t_obs=args.t_obs, t_pred=args.t_pred)
     rows = []
-    for name, nb, kernel in SWEEP_GRID:
-        if nb is None:
-            graph_cfg = social_stgcnn_baseline_config()
-            kernel_name = graph_cfg.kernel.value
-        else:
-            graph_cfg = GraphConfig(neighborhood=nb, kernel=kernel)
-            kernel_name = kernel.value
+    for name, graph_cfg in SWEEP_GRID:
         params, _ = train(split, graph_cfg, train_cfg, model_cfg)
         report = evaluate(split.test, graph_cfg, params, k=args.samples, seed=args.seed)
-        rows.append((name, kernel_name, report.ade_mean, report.fde_mean))
+        rows.append((name, graph_cfg.kernel.value, report.ade_mean, report.fde_mean))
         if not args.quiet:
             print(
-                f"{name:24s} kernel={kernel_name:4s} "
+                f"{name:24s} kernel={graph_cfg.kernel.value:4s} "
                 f"ADE {report.ade_mean:.3f}  FDE {report.fde_mean:.3f}"
             )
     with open(args.out, "w", newline="") as fh:
@@ -310,8 +315,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_plot(args) -> int:
     params, graph_cfg, _ = _load_checkpoint(args.ckpt)
-    if graph_cfg is None:
-        raise UsageError(f"{args.ckpt}: checkpoint stores no graph config")
     windows = data_mod.load_windows(args.archive)
     matches = [w for w in windows if w.window_id == args.window_id]
     if not matches:
@@ -404,8 +407,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="best-of-k ADE/FDE on the held-out scene")
-    _add_data_flags(p)
-    _add_graph_flags(p)
+    _add_data_flags(p, split=False)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--held-out", required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=20)

@@ -51,9 +51,6 @@ class TrajectoryWindow:
     def future_positions(self) -> np.ndarray:
         return self.positions[:, self.t_obs :]
 
-    def future_displacements(self) -> np.ndarray:
-        return self.displacements[:, self.t_obs :]
-
 
 @dataclass
 class DatasetSplit:

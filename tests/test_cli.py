@@ -204,6 +204,10 @@ def overflow_ckpt(ckpt, tmp_path_factory):
     return path
 
 
+def drop_graph_config(header):
+    del header["extra_config"]["graph_config"]
+
+
 class TestTrainEval:
     def test_eval_writes_report(self, scene_dir, ckpt, tmp_path):
         report = tmp_path / "report.json"
@@ -333,12 +337,13 @@ class TestTrainEval:
          lambda h: h["extra_config"]["graph_config"].update(epsilon=True),
          lambda h: h["extra_config"]["graph_config"].update(self_loops=1),
          lambda h: h.update(model_config={}),
-         lambda h: h.update(model_config={"t_obs": 8})],
+         lambda h: h.update(model_config={"t_obs": 8}),
+         drop_graph_config],
         ids=["no-format-version", "no-tensors", "list", "t_obs-string",
              "model_config-null", "bogus-neighborhood", "format_version-true",
              "format_version-float", "offset-float", "shape-float", "txp_layers-float",
              "stgcn_residual-int", "bearing_gate-int", "epsilon-true", "self_loops-int",
-             "model_config-empty", "no-t_pred"],
+             "model_config-empty", "no-t_pred", "no-graph_config"],
     )
     def test_malformed_header_names_file(self, scene_dir, ckpt, tmp_path, mutate, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -350,6 +355,58 @@ class TestTrainEval:
         )
         assert rc == 2
         assert f"error: {bad}: " in capsys.readouterr().err
+
+    def test_eval_reads_only_the_held_out_scene(self, scene_dir, ckpt, tmp_path):
+        # a malformed file beside the scenes is not read, so the report is
+        # the same as without it
+        scenes = tmp_path / "scenes"
+        shutil.copytree(scene_dir, scenes)
+        (scenes / "zz.txt").write_text("not a trajectory record\n")
+        reports = []
+        for d, name in ((scene_dir, "clean.json"), (scenes, "zz.json")):
+            path = tmp_path / name
+            rc = main(
+                ["eval", "--ckpt", str(ckpt), "--scene-dir", str(d),
+                 "--held-out", "eth", "--samples", "3", "--report", str(path)]
+            )
+            assert rc == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("held_out", ["nope", "../{scenes}/eth"],
+                             ids=["missing", "outside-scene-dir"])
+    def test_eval_missing_held_out_file_exit_2(self, scene_dir, ckpt, tmp_path, capsys,
+                                               held_out):
+        # a held-out name is a file stem in --scene-dir, never a path out of it
+        held_out = held_out.format(scenes=scene_dir.name)
+        report = tmp_path / "r.json"
+        rc = main(
+            ["eval", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
+             "--held-out", held_out, "--report", str(report)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: held-out scene file not found: {scene_dir / held_out}.txt" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export-plot"])
+    def test_checkpoint_without_graph_config_exit_2(self, scene_dir, prep_dir, ckpt,
+                                                    tmp_path, capsys, command):
+        bad = tmp_path / "nograph.ckpt"
+        bad.write_bytes(ckpt.read_bytes())
+        rewrite_header(bad, drop_graph_config)
+        out = tmp_path / "out"
+        first = load_windows(prep_dir / "test.npz")[0].window_id
+        rc = main({
+            "eval": ["eval", "--ckpt", str(bad), "--scene-dir", str(scene_dir),
+                     "--held-out", "eth", "--report", str(out)],
+            "export-plot": ["export-plot", "--ckpt", str(bad), "--archive",
+                            str(prep_dir / "test.npz"), "--window-id", first,
+                            "--out", str(out)],
+        }[command])
+        assert rc == 2
+        assert f"error: {bad}: checkpoint stores no graph config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_train_config_exit_2(self, scene_dir, tmp_path, capsys):
         for flag, value in (("--batch", "0"), ("--clip-norm", "-1")):
@@ -513,6 +570,27 @@ class TestConfigFile:
         assert rc == 0
         assert len(list(csv.reader(hist.open()))) == 2  # header + 1 epoch
 
+    def test_one_file_serves_train_and_eval(self, scene_dir, tmp_path):
+        # graph and horizon keys are train flags; eval skips them and takes
+        # both from the checkpoint
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"graph": "view-approach", "kernel": "exp", "t-obs": 6, "t-pred": 4,
+             "epochs": 1, "batch": 16, "lr-switch-epoch": 1, "held-out": "eth",
+             "scene-dir": str(scene_dir)}
+        ))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt), "--quiet"]) == 0
+        report = tmp_path / "r.json"
+        rc = main(["eval", "--config", str(cfg), "--ckpt", str(ckpt), "--samples", "2",
+                   "--report", str(report)])
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        assert doc["config_echo"]["graph_config"]["neighborhood"] == "view-approach"
+        assert doc["config_echo"]["graph_config"]["kernel"] == "exp"
+        want = load_scene_dir(scene_dir, t_obs=6, t_pred=4)["eth"]
+        assert [m["window_id"] for m in doc["per_window"]] == [w.window_id for w in want]
+
     @pytest.mark.parametrize("content, message", [
         ('{"epochs": 3\n', "Expecting ',' delimiter"),
         (None, "Is a directory"),
@@ -609,8 +687,8 @@ def test_sweep_subsample_out_of_range_exit_2(scene_dir, tmp_path, value, capsys)
 
 
 class TestSeedAndSamplesFlags:
-    """Bad --seed/--samples exit 2 at parse time, naming the flag, before any
-    scene is parsed or any model is trained."""
+    """Bad --seed/--samples/--t-obs/--t-pred/--stride exit 2 at parse time,
+    naming the flag, before any scene is parsed or any model is trained."""
 
     @staticmethod
     def argv(command, out):
@@ -657,3 +735,30 @@ class TestSeedAndSamplesFlags:
         out = tmp_path / "out"
         err = self.exit_2(["--config", str(cfg)] + self.argv("train", out), capsys)
         assert "argument --seed: must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("command,flag,low", [
+        (command, flag, low)
+        for flag, low, commands in [("--t-obs", 2, "prep train sweep"),
+                                    ("--t-pred", 1, "prep train sweep"),
+                                    ("--stride", 1, "prep train eval sweep")]
+        for command in commands.split()
+    ])
+    def test_data_flags_below_minimum(self, command, flag, low, tmp_path, capsys):
+        out = tmp_path / "out"
+        for value in (low - 1, -2):
+            err = self.exit_2(self.argv(command, out) + [flag, str(value)], capsys)
+            assert f"argument {flag}: must be >= {low}, got {value}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--t-obs", "5"], ["--t-pred", "4"], ["--val-fraction", "0.5"],
+        ["--graph", "complete"], ["--kernel", "exp"], ["--epsilon", "3.0"],
+        ["--approach-sense", "printed"], ["--self-loops"],
+        ["--normalization", "sym-adj"],
+    ], ids=lambda flag: flag[0])
+    def test_eval_rejects_model_flags(self, flag, tmp_path, capsys):
+        # the checkpoint alone sets eval's horizons and graph
+        out = tmp_path / "out"
+        err = self.exit_2(self.argv("eval", out) + flag, capsys)
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert not out.exists()
