@@ -259,6 +259,10 @@ def cmd_eval(args) -> int:
         config_echo={
             "checkpoint": str(args.ckpt),
             "held_out": args.held_out,
+            "t_obs": params.cfg.t_obs,
+            "t_pred": params.cfg.t_pred,
+            "stride": args.stride,
+            "independent_min": args.independent_min,
             "train_config": extra.get("train_config", {}),
         },
     )

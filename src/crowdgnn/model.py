@@ -37,10 +37,10 @@ TXP_KERNEL = 3
 PRELU_INIT = 0.25
 
 # most pedestrians stacked in one chunk (see `chunks`). A chunk's tape
-# (activations, conv inputs, graph matrices; about 9 kB per stacked row,
-# 10 kB after its backward) lives until the caller drops its output;
-# training keeps one through the next chunk's forward, so two are alive at
-# once and the cap bounds memory.
+# (activations, conv inputs, graph matrices; about 9.5 kB per stacked row
+# of one 32-pedestrian window, 10.4 kB after its backward) lives until the
+# caller drops its output; training keeps one through the next chunk's
+# forward, so two are alive at once and the cap bounds memory.
 # It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
 # 2.56 MB at N=200, and keeping those of a split of dense crowds would hold
 # tens of MB for the whole run, so larger windows rebuild theirs per forward
@@ -215,58 +215,52 @@ class ModelParameters:
 
 
 def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """im2col columns [C_in*kh*kw, H*W] of x [C_in, H, W], zero-padded "same"
-    for odd kernels: row (c, dh, dw) in a weight's flattening order."""
-    c_in, h, wd = x.shape
-    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
-    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
-    # one strided view [C_in, kh, kw, H, W] of xp, element (c, dh, dw, i, j)
-    # at xp[c, i + dh, j + dw]. The ndarray constructor skips
-    # sliding_window_view's argument handling, which cost several times the
-    # copy below at these sizes
+    """im2col columns [H*W, kh*kw*C] of x [H, W, C], zero-padded "same" for
+    odd kernels only (the module constants; `ModelParameters.load` rejects
+    other shapes). Column (dh, dw, c) meets row (dh, dw, c_in) of a kernel's
+    matrix `w.transpose(2, 3, 1, 0).reshape(-1, C_out)`: a conv is one matmul."""
+    h, wd, c = x.shape
+    xp = np.zeros((h + kh - 1, wd + kw - 1, c))
+    xp[kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    # one strided view [H, W, kh, kw, C] of xp, element (i, j, dh, dw, c) at
+    # xp[i + dh, j + dw, c], so the copy below moves runs of kw*C contiguous
+    # doubles. The ndarray constructor skips sliding_window_view's argument
+    # handling, which cost several times the copy at these sizes
     s0, s1, s2 = xp.strides
-    cols = np.ndarray((c_in, kh, kw, h, wd), xp.dtype, xp, 0, (s0, s1, s2, s1, s2))
-    return cols.reshape(c_in * kh * kw, h * wd)
-
-
-def _correlate(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1, zero-padded "same" correlation as one im2col matmul.
-
-    x: [C_in, H, W], w: [C_out, C_in, kh, kw] with odd kernels only (the
-    module constants, 3; `ModelParameters.load` rejects other shapes).
-    Returns out [C_out, H, W] and the columns [C_in*kh*kw, H*W]. A conv's
-    input gradient is this correlation of the output gradient with w
-    flipped in space and in/out channels swapped (Dumoulin & Visin 2016).
-    """
-    cols = _columns(x, *w.shape[2:])
-    out = w.reshape(len(w), -1) @ cols
-    return out.reshape(len(w), *x.shape[1:]), cols
+    cols = np.ndarray((h, wd, kh, kw, c), xp.dtype, xp, 0, (s0, s1, s0, s1, s2))
+    return cols.reshape(h * wd, kh * kw * c)
 
 
 def _plane_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, gaps=()) -> np.ndarray:
-    """2D conv over the trailing (N, F) plane with time-as-channels.
+    """2D conv over the leading (R, F) plane with time-as-channels.
 
-    x: [C_in, N, F], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
+    x: [R, F, C_in], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
     The output rows `gaps` (pedestrian indices) are zero.
     """
-    y = _correlate(x, w)[0]
-    y += b[:, None, None]
+    y = _columns(x, *w.shape[2:]) @ w.transpose(2, 3, 1, 0).reshape(-1, len(w))
+    y = y.reshape(*x.shape[:2], len(w))
+    y += b
     if gaps:
-        y[:, gaps] = 0.0
+        y[gaps] = 0.0
     return y
 
 
 def _plane_conv_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, gaps=()):
     """Gradients (x, w, b) of `_plane_conv(x, w, b, gaps)` whose output
     gradient is `g`; g's gap rows are zeroed in place, so they pass none.
-    x's columns are rebuilt, so that no tape, not even an evaluation
-    forward's, keeps them (0.86 MB per conv at N=200)."""
+
+    The input gradient is the conv of g with w flipped in space and its
+    input and output channels swapped (Dumoulin & Visin 2016). x's columns
+    are rebuilt for the weight gradient, so that no tape, not even an
+    evaluation forward's, keeps them (0.86 MB per conv at N=200)."""
     if gaps:
-        g[:, gaps] = 0.0
-    g2 = g.reshape(len(g), -1)
-    gx = _correlate(g, w[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
-    gw = g2 @ _columns(x, *w.shape[2:]).T
-    return gx, gw.reshape(w.shape), g2.sum(axis=1)
+        g[gaps] = 0.0
+    c_out, c_in, kh, kw = w.shape
+    g2 = g.reshape(-1, c_out)
+    flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
+    gx = (_columns(g, kh, kw) @ flipped).reshape(x.shape)
+    gw = _columns(x, kh, kw).T @ g2  # rows (dh, dw, c_in), columns c_out
+    return gx, gw.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1), g2.sum(axis=0)
 
 
 def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) -> Var:
@@ -274,8 +268,8 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
 
     `graphs` holds each window's normalized [T_obs, n, n] matrix and `rows`
     its slice of the pedestrian axis; by default one window fills v. Graph
-    mixing runs per window, then PReLU, the (K x 1) correlation over the
-    (T, R) plane with C as channels and the residual projection run once.
+    mixing runs per window, then PReLU, the (K x 1) conv over the (T, R)
+    plane with C as channels and the residual projection run once.
     Rows outside every window (the gaps) are zero. `v` and the graphs are
     constants: the backward reaches only the seven stgcn.* parameters.
     """
@@ -300,9 +294,11 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
         pre[:, gaps] = 0.0
     pos = pre > 0
     act = np.where(pos, pre, slope.data * pre)
-    wk = wt.data.transpose(2, 1, 0)[..., None]  # [C_out, C_in, K, 1]
-    y, cols = _correlate(act.transpose(2, 0, 1), wk)
-    y = y.transpose(1, 2, 0) + bt.data + (v @ wr.data + br.data)
+    # w_temporal [K, C_in, C_out] is already in the columns' (k, c) row order
+    kt, c_in, c = wt.shape
+    cols = _columns(act, kt, 1)
+    y = (cols @ wt.data.reshape(-1, c)).reshape(act.shape)
+    y = y + bt.data + (v @ wr.data + br.data)
     if gaps:
         y[:, gaps] = 0.0
 
@@ -314,10 +310,10 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
         br.grad += gb
         wr.grad += (vt @ g).sum(axis=0)
         bt.grad += gb
-        gw = cols @ g.reshape(-1, g.shape[-1])  # rows (c_in, k), columns c_out
-        wt.grad += gw.reshape(wt.shape[1], wt.shape[0], -1).swapaxes(0, 1)
-        gact = _correlate(g.transpose(2, 0, 1), wk[:, :, ::-1, ::-1].swapaxes(0, 1))[0]
-        gact = gact.transpose(1, 2, 0)
+        wt.grad += (cols.T @ g.reshape(-1, c)).reshape(wt.shape)
+        # the same conv of g with the kernel flipped in time, C_in <-> C_out
+        flipped = wt.data[::-1].swapaxes(1, 2).reshape(-1, c_in)
+        gact = (_columns(g, kt, 1) @ flipped).reshape(g.shape)
         slope.grad += np.sum(gact * np.where(pos, 0.0, pre))
         gpre = gact * np.where(pos, 1.0, slope.data)
         gmix = np.empty_like(gpre)
@@ -336,12 +332,14 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
     tape op: PReLU plane convs, each but the first summed with its input,
     then the linear readout conv, every conv zero in the pedestrian rows
     `gaps`. The backward runs them in reverse to h and the txp.* parameters.
+    Inside, activations are [R, F, T]: pedestrian row, Gaussian feature,
+    then time as the channel axis, so each im2col run is whole channel vectors.
     """
     t_obs = params.cfg.t_obs
     if h.shape[0] != t_obs:
         raise ValueError(f"expected {t_obs} observed frames, got {h.shape[0]}")
     layers = []  # per PReLU conv: parameters, input, pre-activation
-    x = h.data
+    x = h.data.transpose(1, 2, 0)
     for i in range(TXP_LAYERS):
         w, b, slope = (params[f"txp.{i}.{k}"] for k in ("w", "b", "prelu"))
         pre = _plane_conv(x, w.data, b.data, gaps)
@@ -352,7 +350,8 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
     out = _plane_conv(x, wo.data, bo.data, gaps)
 
     def bw(g):
-        gx, gw, gb = _plane_conv_backward(g, x, wo.data, gaps)  # x: the readout's input
+        # x: the readout's input
+        gx, gw, gb = _plane_conv_backward(g.transpose(1, 2, 0), x, wo.data, gaps)
         wo.grad += gw
         bo.grad += gb
         for i in reversed(range(TXP_LAYERS)):
@@ -365,9 +364,9 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
             w.grad += gw
             b.grad += gb
             gx = gin if i == 0 else gx + gin  # the residual passes gx through
-        h._ensure_grad()[...] += gx
+        h._ensure_grad()[...] += gx.transpose(2, 0, 1)
 
-    return Var(out, h, bw)
+    return Var(out.transpose(2, 0, 1), h, bw)
 
 
 def chunks(windows, cap: int = CHUNK_PEDESTRIANS):

@@ -222,6 +222,18 @@ class TestTrainEval:
         assert doc["aggregate"]["ade_mean"] >= 0
         assert doc["config_echo"]["graph_config"]["neighborhood"] == "view"
 
+    def test_eval_report_echoes_stride_min_and_horizons(self, scene_dir, ckpt, tmp_path):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["eval", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--samples", "2", "--stride", "3",
+             "--independent-min", "--report", str(report)]
+        )
+        assert rc == 0
+        echo = json.loads(report.read_text())["config_echo"]
+        assert {k: echo[k] for k in ("t_obs", "t_pred", "stride", "independent_min")} == {
+            "t_obs": 8, "t_pred": 12, "stride": 3, "independent_min": True}
+
     def test_eval_held_out_scene_without_windows_exit_2(self, short_scene_dir, ckpt,
                                                         tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -588,6 +600,7 @@ class TestConfigFile:
         doc = json.loads(report.read_text())
         assert doc["config_echo"]["graph_config"]["neighborhood"] == "view-approach"
         assert doc["config_echo"]["graph_config"]["kernel"] == "exp"
+        assert (doc["config_echo"]["t_obs"], doc["config_echo"]["t_pred"]) == (6, 4)
         want = load_scene_dir(scene_dir, t_obs=6, t_pred=4)["eth"]
         assert [m["window_id"] for m in doc["per_window"]] == [w.window_id for w in want]
 

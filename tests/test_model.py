@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import crowdgnn.model as model_mod
@@ -19,7 +21,7 @@ from crowdgnn.model import (
     TXP_LAYERS,
     ModelConfig,
     ModelParameters,
-    _correlate,
+    _columns,
     _plane_conv,
     _plane_conv_backward,
     forward_chunk,
@@ -182,8 +184,10 @@ def assert_rel_close(got, want, rel=1e-12):
 def test_fused_conv_matches_per_offset_oracle(rng, n):
     x, w, b = rng.normal(size=(8, n, 5)), rng.normal(size=(12, 8, 3, 3)), rng.normal(size=12)
     u = rng.normal(size=(12, n, 5))
-    out = _plane_conv(x, w, b)
-    fused = (out, *_plane_conv_backward(u.copy(), x, w))
+    xl, ul = x.transpose(1, 2, 0), u.transpose(1, 2, 0)  # channels-last [N, F, C]
+    out = _plane_conv(xl, w, b)
+    gx, gw, gb = _plane_conv_backward(ul.copy(), xl, w)
+    fused = (out.transpose(2, 0, 1), gx.transpose(2, 0, 1), gw, gb)
     for got, want in zip(fused, plane_conv_oracle(x, w, b, u)):
         assert got.shape == want.shape
         assert_rel_close(got, want)
@@ -263,53 +267,66 @@ def test_stgcn_backward_matches_loop_oracle(rng, n):
     assert all(not t.grad.any() for name, t in p.items() if name.startswith("txp."))
 
 
-def correlate_oracle(x, w):
-    """`_correlate` with its im2col columns from sliding_window_view."""
-    c_out, c_in, kh, kw = w.shape
-    _, h, wd = x.shape
-    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1))
-    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
-    cols = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = cols.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h * wd)
-    out = w.reshape(c_out, c_in * kh * kw) @ cols
-    return out.reshape(c_out, h, wd), cols
+def columns_oracle(x, kh, kw):
+    """`_columns` from sliding_window_view: [H*W, kh*kw*C], column (dh, dw, c)."""
+    h, wd, c = x.shape
+    xp = np.zeros((h + kh - 1, wd + kw - 1, c))
+    xp[kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    cols = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # [H, W, C, kh, kw]
+    return cols.transpose(0, 1, 3, 4, 2).reshape(h * wd, kh * kw * c)
 
 
-def assert_correlate_exact(x, w):
-    got, want = _correlate(x, w), correlate_oracle(x, w)
-    for g, o in zip(got, want):
-        assert g.shape == o.shape
-        assert np.array_equal(g, o)
+def assert_columns_exact(x, kh, kw):
+    got, want = _columns(x, kh, kw), columns_oracle(x, kh, kw)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
     return got
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33, 200])
-def test_correlate_columns_bitwise_equal_oracle(rng, n):
+def test_columns_bitwise_equal_oracle(rng, n):
     t_obs, t_pred, c, k = 8, 12, GAUSSIAN_CHANNELS, TXP_KERNEL
-    # the TXP plane convs: [T, N, F] with time as channels, k x k kernels
-    assert_correlate_exact(rng.normal(size=(t_obs, n, c)), rng.normal(size=(t_pred, t_obs, k, k)))
-    assert_correlate_exact(rng.normal(size=(t_pred, n, c)), rng.normal(size=(t_pred, t_pred, k, k)))
-    # the ST-GCN temporal conv: [C, T, N] with a K x 1 kernel
-    kt = STGCN_TEMPORAL_KERNEL
-    assert_correlate_exact(rng.normal(size=(c, t_obs, n)), rng.normal(size=(c, c, kt, 1)))
+    # the TXP plane convs: [N, F, T] with time as channels, k x k kernels; the
+    # first one reads a transposed view of the ST-GCN's [T, N, F] output
+    assert_columns_exact(rng.normal(size=(t_obs, n, c)).transpose(1, 2, 0), k, k)
+    assert_columns_exact(rng.normal(size=(n, c, t_pred)), k, k)
+    # the ST-GCN temporal conv: [T, N, C] with a K x 1 kernel
+    assert_columns_exact(rng.normal(size=(t_obs, n, c)), STGCN_TEMPORAL_KERNEL, 1)
 
 
-def test_correlate_bitwise_equal_oracle_in_a_stacked_chunk(rng, monkeypatch):
-    # every correlation of a chunk's forward and backward, gap rows included
+@given(
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 6),
+    st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_columns_bitwise_equal_oracle_any_shape(h, w, c, kh, kw, seed):
+    x = np.random.default_rng(seed).normal(size=(h, w, c))
+    assert_columns_exact(x, kh, kw)
+
+
+def test_columns_bitwise_equal_oracle_in_a_stacked_chunk(rng, monkeypatch):
+    # every im2col of a chunk's forward and backward, gap rows included
     calls = []
 
-    def checked(x, w):
-        calls.append((x.shape, w.shape))
-        return assert_correlate_exact(x, w)
+    def checked(x, kh, kw):
+        calls.append((x.shape, kh, kw))
+        return assert_columns_exact(x, kh, kw)
 
-    monkeypatch.setattr(model_mod, "_correlate", checked)
+    monkeypatch.setattr(model_mod, "_columns", checked)
     chunk = [random_window(rng, n_peds=n) for n in (5, 2, 17)]
     loss, _ = chunk_nll(chunk, GraphConfig(), small_params())
     loss.backward()
     rows = 5 + 2 + 17 + 2  # two gap rows
-    # forward and input gradient: the ST-GCN's and the six TXP convs'
-    assert len(calls) == 2 * (1 + TXP_LAYERS + 1)
-    assert all(rows in x_shape for x_shape, _ in calls)
+    kt, k = STGCN_TEMPORAL_KERNEL, TXP_KERNEL
+    stgcn = ((8, rows, GAUSSIAN_CHANNELS), kt, 1)
+    # the ST-GCN: forward, then the input gradient (its weight gradient reuses
+    # the forward's columns); each TXP conv: forward, then in the backward the
+    # input gradient's columns and the weight gradient's rebuilt ones
+    assert calls[0] == stgcn and calls[-1] == stgcn
+    txp = calls[1:-1]
+    assert len(txp) == 3 * (TXP_LAYERS + 1)
+    assert all(x_shape[:2] == (rows, GAUSSIAN_CHANNELS) and (kh, kw) == (k, k)
+               for x_shape, kh, kw in txp)
 
 
 def test_forward_tape_size(rng, monkeypatch):
@@ -413,9 +430,9 @@ class TestTxp:
         p = small_params()
         w, b = p["txp.0.w"].data, p["txp.0.b"].data
         h = rng.normal(size=(8, 3, 5))
-        one = _plane_conv(h, w, b)
-        two = _plane_conv(2 * h, w, b)
-        bias_plane = _plane_conv(0 * h, w, b)
+        one = _plane_conv(h.transpose(1, 2, 0), w, b)
+        two = _plane_conv(2 * h.transpose(1, 2, 0), w, b)
+        bias_plane = _plane_conv(0 * h.transpose(1, 2, 0), w, b)
         assert np.allclose(two - bias_plane, 2 * (one - bias_plane), atol=1e-10)
 
     def test_wrong_frame_count_raises(self, rng):
