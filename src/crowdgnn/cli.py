@@ -499,7 +499,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     # TrajectoryParseError is a ValueError
-    except (UsageError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

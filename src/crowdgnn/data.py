@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-ARCHIVE_FORMAT_VERSION = 1
+ARCHIVE_FORMAT_VERSION = 2
 
 
 class TrajectoryParseError(ValueError):
@@ -31,14 +31,18 @@ class RawTrack(NamedTuple):
 
 @dataclass
 class TrajectoryWindow:
-    """One scene slice: N pedestrians present at every frame of the window."""
+    """One scene slice: N pedestrians present at every frame of the window,
+    whose displacements are derived from the positions."""
 
     scene_id: str
     start_frame: int
     positions: np.ndarray  # [N, T_total, 2] absolute, meters
-    displacements: np.ndarray  # [N, T_total, 2] meters/frame
     t_obs: int
     t_pred: int
+    displacements: np.ndarray = field(init=False)  # [N, T_total, 2] meters/frame
+
+    def __post_init__(self):
+        self.displacements = compute_displacements(self.positions)
 
     @property
     def n_peds(self) -> int:
@@ -152,16 +156,7 @@ def make_windows(
         pos = np.array(
             [[by_frame[f][p] for f in span] for p in peds], dtype=np.float64
         )
-        windows.append(
-            TrajectoryWindow(
-                scene_id=scene_id,
-                start_frame=span[0],
-                positions=pos,
-                displacements=compute_displacements(pos),
-                t_obs=t_obs,
-                t_pred=t_pred,
-            )
-        )
+        windows.append(TrajectoryWindow(scene_id, span[0], pos, t_obs, t_pred))
     return windows
 
 
@@ -173,7 +168,7 @@ def leave_one_out_split(
 ) -> DatasetSplit:
     """Test on `held_out`, shuffle the rest deterministically into train/val."""
     if held_out not in scenes:
-        raise KeyError(f"unknown scene {held_out!r}; have {sorted(scenes)}")
+        raise ValueError(f"unknown scene {held_out!r}; have {sorted(scenes)}")
     if not (0 <= val_fraction < 1):
         raise ValueError("val_fraction must be in [0, 1)")
     test = list(scenes[held_out])
@@ -226,62 +221,61 @@ def save_windows(path, windows: list[TrajectoryWindow]) -> None:
         arrays[f"w{i}_positions"] = w.positions
         arrays[f"w{i}_meta"] = np.array([w.start_frame, w.t_obs, w.t_pred])
         arrays[f"w{i}_scene"] = np.array(w.scene_id)
-        arrays[f"w{i}_disp"] = w.displacements
     np.savez(path, **arrays)
 
 
-def _window_fault(w: TrajectoryWindow) -> str | None:
+def _window_fault(scene_id: str, positions: np.ndarray,
+                  t_obs: int, t_pred: int) -> str | None:
     """What makes an archived window unusable, or None."""
-    if w.t_obs < 2 or w.t_pred < 1:
-        return f"need t_obs >= 2 and t_pred >= 1, got {w.t_obs} and {w.t_pred}"
-    n = w.n_peds if w.positions.ndim == 3 else 0
-    want = (n, w.t_obs + w.t_pred, 2)
-    for name, a in (("positions", w.positions), ("displacements", w.displacements)):
-        if n < 2 or a.shape != want:
-            return f"{name} of shape {a.shape}, want [N >= 2, {want[1]}, 2]"
-        if a.dtype.kind not in "fiu":
-            return f"{name} of dtype {a.dtype}, want numbers"
-        if not np.all(np.isfinite(a)):
-            return f"non-finite {name}"
+    if any(c in scene_id for c in "/\\\0"):  # dump-graph names files after it
+        return f"scene id {scene_id!r} holds a path separator or NUL"
+    if t_obs < 2 or t_pred < 1:
+        return f"need t_obs >= 2 and t_pred >= 1, got {t_obs} and {t_pred}"
+    n = positions.shape[0] if positions.ndim == 3 else 0
+    if n < 2 or positions.shape != (n, t_obs + t_pred, 2):
+        return f"positions of shape {positions.shape}, want [N >= 2, {t_obs + t_pred}, 2]"
+    if positions.dtype.kind not in "fiu":
+        return f"positions of dtype {positions.dtype}, want numbers"
+    if not np.all(np.isfinite(positions)):
+        return "non-finite positions"
     return None
 
 
 def load_windows(path) -> list[TrajectoryWindow]:
     """The checked windows of an archive written by `save_windows`, with
-    float64 positions and displacements.
+    float64 positions.
 
     Any failure to read the archive is a ValueError naming it; a missing
     file stays a FileNotFoundError.
     """
+    entries = []
     try:
         with np.load(path, allow_pickle=False) as z:
             version = int(z["format_version"])
-            if version != ARCHIVE_FORMAT_VERSION:
-                raise ValueError(f"unsupported archive format version {version}")
-            windows = []
-            for i in range(int(z["n_windows"])):
+            n_windows = int(z["n_windows"]) if version == ARCHIVE_FORMAT_VERSION else 0
+            for i in range(n_windows):
                 start_frame, t_obs, t_pred = (int(v) for v in z[f"w{i}_meta"])
-                windows.append(TrajectoryWindow(
-                    scene_id=str(z[f"w{i}_scene"]),
-                    start_frame=start_frame,
-                    positions=z[f"w{i}_positions"],
-                    displacements=z[f"w{i}_disp"],
-                    t_obs=t_obs,
-                    t_pred=t_pred,
-                ))
+                entries.append(
+                    (str(z[f"w{i}_scene"]), start_frame, z[f"w{i}_positions"], t_obs, t_pred)
+                )
     except FileNotFoundError:
         raise
     except _ARCHIVE_READ_ERRORS as exc:
         raise ValueError(f"{path}: unreadable archive: {exc}") from exc
-    for i, w in enumerate(windows):
+    if version != ARCHIVE_FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: archive format version {version}, this version reads only "
+            f"{ARCHIVE_FORMAT_VERSION}; re-run `crowdgnn prep` to rewrite it"
+        )
+    windows = []
+    for i, (scene_id, start_frame, pos, t_obs, t_pred) in enumerate(entries):
         # every later stage computes in float64 (the graph builder writes
         # square roots into a buffer of the positions' dtype), so numeric
         # archives of another dtype load as float64 before the checks
-        for name in ("positions", "displacements"):
-            a = getattr(w, name)
-            if a.dtype.kind in "fiu":
-                setattr(w, name, a.astype(np.float64, copy=False))
-        fault = _window_fault(w)
+        if pos.dtype.kind in "fiu":
+            pos = pos.astype(np.float64, copy=False)
+        fault = _window_fault(scene_id, pos, t_obs, t_pred)
         if fault is not None:
             raise ValueError(f"{path}: window {i}: {fault}")
+        windows.append(TrajectoryWindow(scene_id, start_frame, pos, t_obs, t_pred))
     return windows

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crowdgnn.autodiff import Var
-from crowdgnn.data import TrajectoryWindow, compute_displacements
+from crowdgnn.data import TrajectoryWindow
 
 
 def weighted_sum(x: Var, u) -> Var:
@@ -42,7 +42,6 @@ def random_window(
         scene_id=scene_id,
         start_frame=0,
         positions=pos,
-        displacements=compute_displacements(pos),
         t_obs=t_obs,
         t_pred=t_pred,
     )
@@ -59,7 +58,6 @@ def crossing_window(t_obs: int = 8, t_pred: int = 12) -> TrajectoryWindow:
         scene_id="cross",
         start_frame=0,
         positions=pos,
-        displacements=compute_displacements(pos),
         t_obs=t_obs,
         t_pred=t_pred,
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdgnn.data import DatasetSplit, TrajectoryWindow, compute_displacements
+from crowdgnn.data import DatasetSplit, TrajectoryWindow
 from crowdgnn.evaluate import ade, best_of_k, fde
 from crowdgnn.gaussian import GaussianParams, nll, sample
 from crowdgnn.graphs import (
@@ -41,7 +41,7 @@ def report(criterion: str, detail: str = ""):
 def box_window(rng, n_peds, t_obs=8, t_pred=12):
     """Positions uniform in a 10x10 m box, independently per frame."""
     pos = rng.uniform(0, 10, size=(n_peds, t_obs + t_pred, 2))
-    return TrajectoryWindow("box", 0, pos, compute_displacements(pos), t_obs, t_pred)
+    return TrajectoryWindow("box", 0, pos, t_obs, t_pred)
 
 
 def test_criterion_1_graph_oracle_equivalence(rng):
@@ -74,7 +74,7 @@ def test_criterion_2_laplacian_sanity(rng):
         pos = np.zeros((2, 20, 2))
         pos[1, :, 0] = d
         pos[:, :, 1] = 0.1 * np.arange(20)[None, :]
-        w = TrajectoryWindow("two", 0, pos, compute_displacements(pos), 8, 12)
+        w = TrajectoryWindow("two", 0, pos, 8, 12)
         norm = build_graph_sequence(w, GraphConfig(neighborhood=Neighborhood.VIEW))
         for t in range(1, w.t_obs):
             assert np.max(np.abs(norm[t] - [[1, -1], [-1, 1]])) <= 1e-12

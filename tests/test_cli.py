@@ -8,13 +8,13 @@ import pytest
 import crowdgnn.cli as cli_mod
 from crowdgnn.cli import main
 from crowdgnn.data import (
-    TrajectoryWindow, compute_displacements, leave_one_out_split, load_scene_dir,
+    TrajectoryWindow, leave_one_out_split, load_scene_dir,
     load_windows, save_windows,
 )
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
 from crowdgnn.model import ModelConfig, ModelParameters, chunks
 from conftest import random_window
-from test_data import _faulty
+from test_data import _faulty, write_format_1_archive
 from test_model import rewrite_header
 
 
@@ -119,6 +119,27 @@ class TestPrep:
         assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_held_out_scene_exit_2(self, scene_dir, tmp_path, capsys):
+        rc = main(
+            ["prep", "--scene-dir", str(scene_dir), "--held-out", "x",
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown scene 'x'; have ['eth', ")
+        assert not (tmp_path / "o").exists()
+
+    def test_key_error_is_a_runtime_failure(self, scene_dir, tmp_path, capsys, monkeypatch):
+        def fault(*args, **kwargs):
+            raise KeyError("w0_positions")
+
+        monkeypatch.setattr(cli_mod.data_mod, "save_windows", fault)
+        rc = main(
+            ["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "failure: 'w0_positions'\n"
+
 
 class TestDumpGraph:
     def test_documents_written(self, prep_dir, tmp_path):
@@ -163,13 +184,34 @@ class TestDumpGraph:
         assert f"{archive}: window 0: " in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    def test_scene_id_path_writes_nothing(self, tmp_path, rng, capsys):
+        archive = tmp_path / "bad.npz"
+        bad = _faulty(random_window(rng), "scene-id-slash")
+        save_windows(archive, [random_window(rng), bad])
+        out = tmp_path / "inside" / "out"
+        rc = main(["dump-graph", "--archive", str(archive), "--out", str(out)])
+        assert rc == 2
+        assert (f"error: {archive}: window 1: scene id '../escaped' holds a path "
+                "separator or NUL") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.npz"]
+
+    def test_format_1_archive_exit_2(self, tmp_path, rng, capsys):
+        archive = tmp_path / "old.npz"
+        write_format_1_archive(archive, random_window(rng))
+        rc = main(["dump-graph", "--archive", str(archive), "--out", str(tmp_path / "g")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {archive}: archive format version 1, ")
+        assert "re-run `crowdgnn prep`" in err
+        assert not (tmp_path / "g").exists()
+
     def test_integer_archive_same_documents(self, tmp_path, rng):
         # whole-meter positions: the same values as int64 and as float64
         pos = rng.integers(-20, 20, size=(3, 20, 2))
         docs = {}
         for dtype in ("int64", "float64"):
             p = pos.astype(dtype)
-            w = TrajectoryWindow("ints", 40, p, compute_displacements(p), 8, 12)
+            w = TrajectoryWindow("ints", 40, p, 8, 12)
             assert w.positions.dtype == w.displacements.dtype == dtype
             archive = tmp_path / f"{dtype}.npz"
             save_windows(archive, [w])
@@ -538,6 +580,20 @@ class TestExportPlot:
         )
         assert rc == 2
         assert f"{archive}: window 0: " in capsys.readouterr().err
+
+    def test_format_1_archive_exit_2(self, ckpt, tmp_path, rng, capsys):
+        archive = tmp_path / "old.npz"
+        w = random_window(rng)
+        write_format_1_archive(archive, w)
+        rc = main(
+            ["export-plot", "--ckpt", str(ckpt), "--archive", str(archive),
+             "--window-id", w.window_id, "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {archive}: archive format version 1, ")
+        assert "re-run `crowdgnn prep`" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestConfigFile:

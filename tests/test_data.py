@@ -7,7 +7,6 @@ from crowdgnn.data import (
     RawTrack,
     TrajectoryParseError,
     TrajectoryWindow,
-    compute_displacements,
     leave_one_out_split,
     load_windows,
     make_windows,
@@ -164,7 +163,7 @@ class TestSplit:
         assert [w.window_id for w in a.val] == [w.window_id for w in b.val]
 
     def test_unknown_scene(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown scene 'nope'"):
             leave_one_out_split(self.scenes(), "nope", 0.1, 0)
 
 
@@ -187,18 +186,19 @@ ARCHIVE_FAULTS = {
     "t_obs=1": "need t_obs >= 2",
     "t_pred=0": "need t_obs >= 2 and t_pred >= 1",
     "nan-position": "non-finite positions",
-    "inf-displacement": "non-finite displacements",
     "t_pred-past-arrays": "positions of shape",
-    "truncated-displacements": "displacements of shape",
     "one-pedestrian": "N >= 2",
     "2-d-positions": "positions of shape",
-    "text-displacements": "displacements of dtype",
+    "text-positions": "positions of dtype",
+    "scene-id-slash": "scene id '../escaped' holds a path separator or NUL",
+    "scene-id-backslash": "scene id '..\\\\escaped' holds a path separator or NUL",
+    "scene-id-nul": "scene id 'a\\x00b' holds a path separator or NUL",
 }
 
 
 def _faulty(w, fault):
     """`w` with one archive fault."""
-    pos, disp = w.positions.copy(), w.displacements.copy()
+    pos, scene_id = w.positions.copy(), w.scene_id
     t_obs, t_pred = w.t_obs, w.t_pred
     if fault == "t_obs=1":
         t_obs, t_pred = 1, t_obs + t_pred - 1
@@ -206,19 +206,22 @@ def _faulty(w, fault):
         t_obs, t_pred = t_obs + t_pred, 0
     elif fault == "nan-position":
         pos[0, 3, 1] = np.nan
-    elif fault == "inf-displacement":
-        disp[1, 5, 0] = np.inf
     elif fault == "t_pred-past-arrays":
         t_pred = 30
-    elif fault == "truncated-displacements":
-        disp = disp[:, :-1]
     elif fault == "one-pedestrian":
-        pos, disp = pos[:1], disp[:1]
+        pos = pos[:1]
     elif fault == "2-d-positions":
         pos = pos[..., 0]
-    elif fault == "text-displacements":
-        disp = disp.astype(str)
-    return TrajectoryWindow(w.scene_id, 9, pos, disp, t_obs, t_pred)
+    elif fault == "scene-id-slash":
+        scene_id = "../escaped"
+    elif fault == "scene-id-backslash":
+        scene_id = "..\\escaped"
+    elif fault == "scene-id-nul":
+        scene_id = "a\0b"
+    faulty = TrajectoryWindow(scene_id, 9, pos, t_obs, t_pred)
+    if fault == "text-positions":  # numbers only get differenced
+        faulty.positions = pos.astype(str)
+    return faulty
 
 
 @pytest.mark.parametrize("fault", sorted(ARCHIVE_FAULTS))
@@ -230,3 +233,22 @@ def test_archive_fault_names_archive_and_window(tmp_path, rng, fault):
         load_windows(path)
     assert str(path) in str(info.value)
     assert ARCHIVE_FAULTS[fault] in str(info.value)
+
+
+def test_archive_holds_positions_only(tmp_path, rng):
+    path = tmp_path / "w.npz"
+    save_windows(path, [random_window(rng)])
+    with np.load(path) as z:
+        assert sorted(z.files) == [
+            "format_version", "n_windows", "w0_meta", "w0_positions", "w0_scene"
+        ]
+        assert int(z["format_version"]) == 2
+
+
+def write_format_1_archive(path, w):
+    """`w` as the format-1 archive that also stored its displacements."""
+    np.savez(
+        path, format_version=np.array(1), n_windows=np.array(1),
+        w0_positions=w.positions, w0_meta=np.array([w.start_frame, w.t_obs, w.t_pred]),
+        w0_scene=np.array(w.scene_id), w0_disp=w.displacements,
+    )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import crowdgnn.evaluate as evaluate_mod
-from crowdgnn.data import TrajectoryWindow, compute_displacements
+from crowdgnn.data import TrajectoryWindow
 from crowdgnn.evaluate import (
     MetricsReport,
     PredictionDiverged,
@@ -224,7 +224,7 @@ def spike_window(rng, scene_id):
     w = random_window(rng, scene_id=scene_id)
     pos = w.positions.copy()
     pos[0, 3] = 1.7e308
-    return TrajectoryWindow(scene_id, 0, pos, compute_displacements(pos), 8, 12)
+    return TrajectoryWindow(scene_id, 0, pos, 8, 12)
 
 
 class TestChunkedEvaluate:

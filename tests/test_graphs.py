@@ -83,7 +83,7 @@ def kernel_weight(kernel, p, q):
     """Complete-graph edge weight between pedestrians standing at p and q."""
     pos = np.zeros((2, 20, 2))
     pos[0], pos[1] = p, q
-    w = TrajectoryWindow("pair", 0, pos, compute_displacements(pos), 8, 12)
+    w = TrajectoryWindow("pair", 0, pos, 8, 12)
     cfg = GraphConfig(neighborhood=Neighborhood.COMPLETE, kernel=kernel)
     return graph_adjacency(w, cfg)[0, 0, 1]
 
@@ -129,9 +129,7 @@ class TestGates:
         p0 = t * np.asarray(v0)
         p1 = np.asarray(offset) + t * np.asarray(v1)
         pos = np.stack([p0, p1]).astype(float)
-        return TrajectoryWindow(
-            "pair", 0, pos, compute_displacements(pos), 8, 12
-        )
+        return TrajectoryWindow("pair", 0, pos, 8, 12)
 
     def test_opposite_directions_view_zero(self):
         w = self.two_ped_window((0.4, 0.0), (-0.4, 0.0))
@@ -290,7 +288,7 @@ class TestWholeWindowBuilder:
         w = random_window(rng, n_peds=10)
         perm = rng.permutation(w.n_peds)
         pw = TrajectoryWindow(
-            "perm", 0, w.positions[perm], w.displacements[perm], w.t_obs, w.t_pred
+            "perm", 0, w.positions[perm], w.t_obs, w.t_pred
         )
         for cfg in all_configs():
             adj, padj = graph_adjacency(w, cfg), graph_adjacency(pw, cfg)
@@ -329,7 +327,7 @@ class TestLaplacian:
             pos = np.zeros((2, 20, 2))
             pos[1, :, 0] = d
             pos[:, :, 1] = 0.1 * np.arange(20)[None, :]  # both moving +y
-            win = TrajectoryWindow("two", 0, pos, compute_displacements(pos), 8, 12)
+            win = TrajectoryWindow("two", 0, pos, 8, 12)
             norm = build_graph_sequence(win, GraphConfig(neighborhood=Neighborhood.VIEW))
             for t in range(1, win.t_obs):
                 assert np.allclose(
@@ -360,7 +358,7 @@ class TestLaplacian:
         pos[1, :, 0] = 1.0 + 0.3 * np.arange(20)
         pos[2, :, 0] = 10.0 - 0.3 * np.arange(20)
         pos[2, :, 1] = 5.0
-        w = TrajectoryWindow("iso", 0, pos, compute_displacements(pos), 8, 12)
+        w = TrajectoryWindow("iso", 0, pos, 8, 12)
         cfg = GraphConfig(
             neighborhood=Neighborhood.VIEW,
             self_loops=True,
@@ -375,7 +373,7 @@ class TestLaplacian:
         pos = np.zeros((2, 20, 2))
         pos[0, :, 0] = 0.3 * np.arange(20)
         pos[1, :, 0] = 10.0 - 0.3 * np.arange(20)
-        w = TrajectoryWindow("iso2", 0, pos, compute_displacements(pos), 8, 12)
+        w = TrajectoryWindow("iso2", 0, pos, 8, 12)
         cfg = GraphConfig(neighborhood=Neighborhood.VIEW)
         assert np.all(np.isfinite(build_graph_sequence(w, cfg)))
         assert np.allclose(graph_adjacency(w, cfg)[3], 0.0)

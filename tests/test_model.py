@@ -411,7 +411,7 @@ class TestStGcn:
         w = random_window(rng, n_peds=10)
         perm = rng.permutation(w.n_peds)
         pw = TrajectoryWindow(
-            "perm", 0, w.positions[perm], w.displacements[perm], w.t_obs, w.t_pred
+            "perm", 0, w.positions[perm], w.t_obs, w.t_pred
         )
         out = forward_raw(w, GraphConfig(), small_params()).data
         out_p = forward_raw(pw, GraphConfig(), small_params()).data
