@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
-The tape is a chain of ops over parameter leaves: each op has at most one
-input node, and its hand-written backward writes that node's and its
-parameters' gradients. The model records three: the ST-GCN layer and the
-TXP stack (``model``), and the Gaussian head (``gaussian``). All arithmetic
-is float64; gradients accumulate into ``.grad`` buffers shaped as ``.data``.
-A parameter leaf's buffers are views of ``model.ModelParameters``' vectors;
-a chain node allocates its gradient on first write (``_ensure_grad``).
+The tape is a chain of ops: each op has at most one input node, and its
+hand-written backward takes the gradient of its output, adds its
+parameters' gradients into ``model.ModelParameters.grad`` and returns the
+gradient of its input (None for an op whose input is a constant). The
+model records three: the ST-GCN layer and the TXP stack (``model``), and
+the Gaussian head (``gaussian``). All arithmetic is float64. No node keeps
+a gradient: `backward` hands each one from op to op.
 """
 from __future__ import annotations
 
@@ -16,25 +16,15 @@ __all__ = ["Var"]
 
 
 class Var:
-    """A node of the chain: value + gradient + backward closure + input node."""
+    """A node of the chain: value + backward closure + input node."""
 
-    __slots__ = ("data", "grad", "_backward", "_parent", "_done")
+    __slots__ = ("data", "_backward", "_parent", "_done")
 
     def __init__(self, data, _parent=None, _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self._parent = _parent
         self._backward = _backward
         self._done = False
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
 
     def backward(self, seed: float = 1.0):
         """Backpropagate from this scalar root, whose gradient is `seed`,
@@ -44,8 +34,6 @@ class Var:
         if self._done:
             raise RuntimeError("backward() already run for this graph root")
         self._done = True
-        self.grad = np.full_like(self.data, seed)
-        node = self
+        g, node = np.full_like(self.data, seed), self
         while node is not None and node._backward is not None:
-            node._backward(node.grad)
-            node = node._parent
+            g, node = node._backward(g), node._parent

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import data as data_mod
 from .data import DatasetSplit, leave_one_out_split, load_scene_dir
-from .evaluate import evaluate, predict_gaussians, sample_generators, sample_trajectory
+from .evaluate import (
+    PredictionDiverged, evaluate, predict_gaussians, sample_generators, sample_trajectory,
+)
 from .graphs import (
     ApproachSense,
     GraphConfig,
@@ -332,19 +334,17 @@ def cmd_export_plot(args) -> int:
         )
     rows = []
     for i in range(w.n_peds):
-        for t in range(w.t_obs):
-            rows.append((i, t, "observed", -1, w.positions[i, t, 0], w.positions[i, t, 1]))
-        for t in range(w.t_pred):
-            rows.append(
-                (i, w.t_obs + t, "truth", -1,
-                 w.positions[i, w.t_obs + t, 0], w.positions[i, w.t_obs + t, 1])
-            )
+        for t in range(w.t_obs + w.t_pred):
+            kind = "observed" if t < w.t_obs else "truth"
+            rows.append((i, t, kind, -1, w.positions[i, t, 0], w.positions[i, t, 1]))
     if args.samples > 0:
         g = predict_gaussians(w, graph_cfg, params)
         preds = sample_trajectory(
             g, w.positions[:, w.t_obs - 1],
             sample_generators(args.seed, w.window_id, args.samples),
         )
+        if not np.all(np.isfinite(preds)):
+            raise PredictionDiverged(f"window {w.window_id}: non-finite trajectory sample")
         for s, pred in enumerate(preds):
             for i in range(w.n_peds):
                 for t in range(w.t_pred):

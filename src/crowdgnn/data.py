@@ -196,6 +196,8 @@ def load_scene_dir(
     files = sorted(scene_dir.glob("*.txt"))
     scenes = {}
     for f in files:
+        if (fault := _scene_id_fault(f.stem)) is not None:
+            raise ValueError(f"{f}: {fault}")
         tracks = parse_trajectory_file(f)
         scenes[f.stem] = make_windows(tracks, t_obs, t_pred, stride, scene_id=f.stem)
     return scenes
@@ -224,11 +226,18 @@ def save_windows(path, windows: list[TrajectoryWindow]) -> None:
     np.savez(path, **arrays)
 
 
+def _scene_id_fault(scene_id: str) -> str | None:
+    """What makes a scene id unusable (`dump-graph` names files after it), or None."""
+    if any(c in scene_id for c in "/\\\0"):
+        return f"scene id {scene_id!r} holds a path separator or NUL"
+    return None
+
+
 def _window_fault(scene_id: str, positions: np.ndarray,
                   t_obs: int, t_pred: int) -> str | None:
     """What makes an archived window unusable, or None."""
-    if any(c in scene_id for c in "/\\\0"):  # dump-graph names files after it
-        return f"scene id {scene_id!r} holds a path separator or NUL"
+    if (fault := _scene_id_fault(scene_id)) is not None:
+        return fault
     if t_obs < 2 or t_pred < 1:
         return f"need t_obs >= 2 and t_pred >= 1, got {t_obs} and {t_pred}"
     n = positions.shape[0] if positions.ndim == 3 else 0

@@ -16,7 +16,7 @@ REPORT_SCHEMA_VERSION = 1
 
 
 class PredictionDiverged(RuntimeError):
-    """The model's raw output for a window is not finite."""
+    """The model's raw output, samples or scores for a window are not finite."""
 
 
 @dataclass
@@ -171,15 +171,17 @@ def sample_generators(seed: int, window_id: str, k: int) -> list[np.random.Gener
 def _score(window, g: GaussianParams, k: int, seed: int,
            independent_min: bool) -> tuple[float, float]:
     """Draw k trajectory samples from `g`; the ADE-best sample's (ade, fde),
-    or with `independent_min` the minimum of each over the samples."""
+    or with `independent_min` the minimum of each over the samples; both
+    finite, or PredictionDiverged names the window."""
     truth = window.future_positions()
     last_obs = window.positions[:, window.t_obs - 1]
     preds = sample_trajectory(g, last_obs, sample_generators(seed, window.window_id, k))
     ades, fdes = ade(preds, truth), fde(preds, truth)
-    if independent_min:
-        return float(ades.min()), float(fdes.min())
     best = int(np.argmin(ades))
-    return float(ades[best]), float(fdes[best])
+    a, f = (ades.min(), fdes.min()) if independent_min else (ades[best], fdes[best])
+    if not (np.isfinite(a) and np.isfinite(f)):
+        raise PredictionDiverged(f"window {window.window_id}: non-finite ADE {a} or FDE {f}")
+    return float(a), float(f)
 
 
 def best_of_k(

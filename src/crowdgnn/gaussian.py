@@ -99,7 +99,7 @@ def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
         grad = np.stack(
             [-ua / sx, -ub / sy, 1.0 - a * ua, 1.0 - b * ub, d_rho], axis=-1
         )
-        raw._ensure_grad()[...] += grad * (g * weight)[..., None]
+        return grad * (g * weight)[..., None]
 
     return Var(means.sum(), raw, bw), means
 

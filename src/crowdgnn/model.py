@@ -18,6 +18,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ PRELU_INIT = 0.25
 
 # most pedestrians stacked in one chunk (see `chunks`). A chunk's tape
 # (activations, conv inputs, graph matrices; about 9.5 kB per stacked row
-# of one 32-pedestrian window, 10.4 kB after its backward) lives until the
+# of one 32-pedestrian window, as much after its backward) lives until the
 # caller drops its output; training keeps one through the next chunk's
 # forward, so two are alive at once and the cap bounds memory.
 # It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
@@ -101,9 +102,10 @@ class ModelParameters:
 
     All parameters live in one float64 vector `theta`, and their gradients
     in one vector `grad`, both in checkpoint-table order. Each named tensor
-    is a `Var` whose `.data` and `.grad` are views into them, so an update,
-    a snapshot or a checkpoint is one array op. Write into those views in
-    place: rebinding `.data` or `.grad` detaches the tensor from `theta`.
+    is a namespace of two views into them, `.data` and `.grad` (it is not a
+    tape node), so an update, a snapshot, zeroing the gradients or a
+    checkpoint is one array op. Write into those views in place: rebinding
+    `.data` or `.grad` detaches the tensor from `theta`.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
@@ -112,13 +114,13 @@ class ModelParameters:
         size = sum(math.prod(shape) for _, shape, _ in specs)
         self.theta = np.empty(size)
         self.grad = np.zeros(size)
-        self.tensors: dict[str, Var] = {}
+        self.tensors: dict[str, SimpleNamespace] = {}
         rng = np.random.default_rng(seed)
         offset = 0
         for name, shape, fan_in in specs:
             end = offset + math.prod(shape)
-            v = Var(self.theta[offset:end].reshape(shape))
-            v.grad = self.grad[offset:end].reshape(shape)
+            v = SimpleNamespace(data=self.theta[offset:end].reshape(shape),
+                                grad=self.grad[offset:end].reshape(shape))
             if fan_in is None:
                 v.data[...] = PRELU_INIT
             else:
@@ -127,14 +129,11 @@ class ModelParameters:
             self.tensors[name] = v
             offset = end
 
-    def __getitem__(self, name: str) -> Var:
+    def __getitem__(self, name: str) -> SimpleNamespace:
         return self.tensors[name]
 
     def items(self):
         return self.tensors.items()
-
-    def zero_grad(self):
-        self.grad.fill(0.0)
 
     def summary(self) -> dict:
         per_tensor = {name: int(v.data.size) for name, v in self.tensors.items()}
@@ -295,7 +294,7 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
     pos = pre > 0
     act = np.where(pos, pre, slope.data * pre)
     # w_temporal [K, C_in, C_out] is already in the columns' (k, c) row order
-    kt, c_in, c = wt.shape
+    kt, c_in, c = wt.data.shape
     cols = _columns(act, kt, 1)
     y = (cols @ wt.data.reshape(-1, c)).reshape(act.shape)
     y = y + bt.data + (v @ wr.data + br.data)
@@ -310,7 +309,7 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
         br.grad += gb
         wr.grad += (vt @ g).sum(axis=0)
         bt.grad += gb
-        wt.grad += (cols.T @ g.reshape(-1, c)).reshape(wt.shape)
+        wt.grad += (cols.T @ g.reshape(-1, c)).reshape(kt, c_in, c)
         # the same conv of g with the kernel flipped in time, C_in <-> C_out
         flipped = wt.data[::-1].swapaxes(1, 2).reshape(-1, c_in)
         gact = (_columns(g, kt, 1) @ flipped).reshape(g.shape)
@@ -336,8 +335,8 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
     then time as the channel axis, so each im2col run is whole channel vectors.
     """
     t_obs = params.cfg.t_obs
-    if h.shape[0] != t_obs:
-        raise ValueError(f"expected {t_obs} observed frames, got {h.shape[0]}")
+    if h.data.shape[0] != t_obs:
+        raise ValueError(f"expected {t_obs} observed frames, got {h.data.shape[0]}")
     layers = []  # per PReLU conv: parameters, input, pre-activation
     x = h.data.transpose(1, 2, 0)
     for i in range(TXP_LAYERS):
@@ -364,7 +363,8 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
             w.grad += gw
             b.grad += gb
             gx = gin if i == 0 else gx + gin  # the residual passes gx through
-        h._ensure_grad()[...] += gx.transpose(2, 0, 1)
+        # C-contiguous: the ST-GCN backward's sums follow the memory order
+        return np.ascontiguousarray(gx.transpose(2, 0, 1))
 
     return Var(out.transpose(2, 0, 1), h, bw)
 

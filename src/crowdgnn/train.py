@@ -93,12 +93,12 @@ def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters,
     """Loss of `windows` run as one chunk: a tape node whose value is the sum
     of their mean NLLs per (pedestrian, predicted frame), and those means.
 
-    `kept` holds graphs from `kept_graphs`. A non-finite raw output or NLL
-    raises ValueError naming the first window that has one."""
+    `kept` holds graphs from `kept_graphs`. A non-finite raw output or mean
+    NLL raises ValueError naming the first window that has one."""
     raw, disp, rows = forward_chunk(windows, graph_cfg, params, kept)
     target = disp[:, windows[0].t_obs :].transpose(1, 0, 2)  # [T_pred, R, 2]
     try:
-        return mean_nll(raw, target, rows)
+        loss, means = mean_nll(raw, target, rows)
     except ValueError as exc:  # constrain found a non-finite raw value
         for w, r in zip(windows, rows):
             part = raw.data[:, r]
@@ -107,6 +107,10 @@ def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters,
             if not np.isfinite(nll(target[:, r], *constrain(part)).sum()):
                 raise ValueError(f"window {w.window_id}: non-finite NLL") from exc
         raise
+    for w, m in zip(windows, means):
+        if not np.isfinite(m):
+            raise ValueError(f"window {w.window_id}: non-finite NLL")
+    return loss, means
 
 
 def window_nll(window, graph_cfg: GraphConfig, params: ModelParameters,
@@ -167,7 +171,7 @@ def train(
         epoch_losses = []
         for start in range(0, n_train, cfg.batch_size):
             batch = [split.train[i] for i in order[start : start + cfg.batch_size]]
-            params.zero_grad()
+            params.grad.fill(0.0)
             for chunk in chunks(batch):
                 try:
                     loss, nlls = chunk_nll(chunk, graph_cfg, params, kept)
@@ -175,12 +179,6 @@ def train(
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, {exc}"
                     ) from exc
-                bad = ~np.isfinite(nlls)
-                if bad.any():
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, "
-                        f"window {chunk[int(np.argmax(bad))].window_id}"
-                    )
                 epoch_losses.extend(nlls.tolist())
                 # `loss` keeps this tape alive through the next chunk's
                 # forward, as the per-window loop did: freeing it first left

@@ -8,10 +8,14 @@ from crowdgnn.data import TrajectoryWindow
 def weighted_sum(x: Var, u) -> Var:
     """Scalar head sum(x * u) as one tape op; `u` is a constant."""
 
-    def bw(g):
-        x._ensure_grad()[...] += g * u
+    return Var(np.sum(x.data * u), x, lambda g: g * u)
 
-    return Var(np.sum(x.data * u), x, bw)
+
+def input_node(data) -> tuple[Var, list]:
+    """A chain's first node, holding `data`, and the list to which its
+    backward appends the gradient the chain hands it."""
+    grads = []
+    return Var(data, None, grads.append), grads
 
 
 def cholesky_factor(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:

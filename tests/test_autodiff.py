@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from crowdgnn.autodiff import Var
-from conftest import weighted_sum
+from conftest import input_node, weighted_sum
 
 
-def test_diamond_reuse_accumulates():
-    x = Var(np.array(3.0))
-
-    def bw(g):  # x reached twice through one node: both paths accumulate
-        x._ensure_grad()[...] += g
-        x._ensure_grad()[...] += g
-
-    two_x = Var(x.data + x.data, x, bw)
-    y = weighted_sum(two_x, 2.0)  # d/dx = 2 * 2
-    y.backward()
-    assert x.grad == 4.0
+def test_backward_hands_each_gradient_to_the_input_node():
+    x, grads = input_node(np.array([1.0, -2.0, 3.0]))
+    y = weighted_sum(weighted_sum(x, np.array([2.0, 0.5, -1.0])), 3.0)
+    y.backward(0.5)  # d/dx = 0.5 * 3 * u
+    assert len(grads) == 1
+    np.testing.assert_array_equal(grads[0], [3.0, 0.75, -1.5])
 
 
 def test_backward_requires_scalar():

@@ -119,6 +119,21 @@ class TestPrep:
         assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_backslash_scene_stem_exit_2(self, scene_dir, tmp_path, capsys):
+        # legal in a Linux file name, but no archived window may hold it
+        scenes = tmp_path / "scenes"
+        shutil.copytree(scene_dir, scenes)
+        bad = scenes / "a\\b.txt"
+        bad.write_text((scenes / "eth.txt").read_text())
+        rc = main(
+            ["prep", "--scene-dir", str(scenes), "--held-out", "a\\b",
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: scene id 'a\\\\b' holds a path separator or NUL" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_held_out_scene_exit_2(self, scene_dir, tmp_path, capsys):
         rc = main(
             ["prep", "--scene-dir", str(scene_dir), "--held-out", "x",
@@ -350,27 +365,52 @@ class TestTrainEval:
         assert not (tmp_path / "r.json").exists()
 
         # the trained model on scenes where pedestrian 0 of the held-out scene
-        # is at 1.7e308 in frame 80: the first test window only predicts that
-        # frame, the second observes it, and both run in the first chunk
-        spiked = tmp_path / "spiked"
-        spiked.mkdir()
-        for path in scene_dir.glob("*.txt"):
-            (spiked / path.name).write_text(path.read_text())
-        eth = spiked / "eth.txt"
-        eth.write_text("".join(
-            "80 0 1.7e308 1.7e308\n" if line.startswith("80 0 ") else line
-            for line in eth.read_text().splitlines(keepends=True)
-        ))
-        windows = leave_one_out_split(load_scene_dir(spiked), "eth").test
-        assert len(next(chunks(windows))) > 2
+        # is at 1.7e308 in frame 80. The first test window only predicts that
+        # frame: its raw output is finite and its ADE overflows. The second
+        # observes it, and its raw output overflows. Both run in the first
+        # chunk. Without pedestrian 0's frame 0, the first window lacks them
+        # and the second is named
+        for drop, named, fault in [((), 0, "non-finite ADE inf"),
+                                   (("0 0 ",), 1, "non-finite raw Gaussian parameters")]:
+            spiked = tmp_path / f"spiked-{named}"
+            spiked.mkdir()
+            for path in scene_dir.glob("*.txt"):
+                (spiked / path.name).write_text(path.read_text())
+            eth = spiked / "eth.txt"
+            eth.write_text("".join(
+                "80 0 1.7e308 1.7e308\n" if line.startswith("80 0 ") else line
+                for line in eth.read_text().splitlines(keepends=True)
+                if not line.startswith(drop)
+            ))
+            windows = leave_one_out_split(load_scene_dir(spiked), "eth").test
+            assert len(next(chunks(windows))) > 2
+            assert [w.n_peds for w in windows[:2]] == [3 - named, 3]
+            rc = main(
+                ["eval", "--ckpt", str(ckpt), "--scene-dir", str(spiked),
+                 "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"failure: window {windows[named].window_id}: {fault}" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("bias", [800.0, 400.0])
+    def test_overflowing_sigma_exit_1(self, scene_dir, prep_dir, ckpt, tmp_path, capsys,
+                                      bias):
+        # finite raw outputs: at 800 sigma = e^800 overflows and the samples
+        # are NaN, at 400 the samples are finite and the ADE norm overflows
+        params, extra = ModelParameters.load(ckpt)
+        params["txp.out.b"].data[...] = bias
+        big = tmp_path / "sigma.ckpt"
+        params.save(big, extra_config=extra)
         rc = main(
-            ["eval", "--ckpt", str(ckpt), "--scene-dir", str(spiked),
+            ["eval", "--ckpt", str(big), "--scene-dir", str(scene_dir),
              "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
         )
         assert rc == 1
-        err = capsys.readouterr().err
-        assert (f"failure: window {windows[1].window_id}: non-finite raw Gaussian "
-                "parameters") in err
+        first = load_windows(prep_dir / "test.npz")[0].window_id
+        assert f"failure: window {first}: non-finite ADE" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
@@ -534,6 +574,23 @@ class TestExportPlot:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"failure: window {w.window_id}: non-finite raw Gaussian parameters" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_overflowing_sigma_exit_1(self, prep_dir, ckpt, tmp_path, capsys):
+        # finite raw outputs whose sigma = e^800 overflows: the samples are NaN
+        params, extra = ModelParameters.load(ckpt)
+        params["txp.out.b"].data[...] = 800.0
+        big = tmp_path / "sigma.ckpt"
+        params.save(big, extra_config=extra)
+        w = load_windows(prep_dir / "test.npz")[0]
+        rc = main(
+            ["export-plot", "--ckpt", str(big), "--archive", str(prep_dir / "test.npz"),
+             "--window-id", w.window_id, "--samples", "2", "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"failure: window {w.window_id}: non-finite trajectory sample" in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from crowdgnn.model import (
     txp_forward,
 )
 from crowdgnn.train import TrainConfig, chunk_nll, sgd_step, train, window_nll
-from conftest import random_window, weighted_sum
+from conftest import input_node, random_window, weighted_sum
 
 
 def small_params():
@@ -238,12 +238,13 @@ def test_txp_backward_matches_oracle(rng, n, gaps):
     x = rng.normal(size=(8, n, GAUSSIAN_CHANNELS))
     x[:, gaps] = 0.0  # as the ST-GCN layer leaves them
     u = rng.normal(size=(12, n, GAUSSIAN_CHANNELS))
-    h = Var(x.copy())
+    h, grads = input_node(x.copy())
     out = txp_forward(h, p, gaps)
     weighted_sum(out, u).backward()
     want_out, want = txp_vjp_oracle(x, p, u, gaps)
     assert_rel_close(out.data, want_out)
-    assert_rel_close(h.grad, want.pop("h"))
+    assert_rel_close(grads[0], want.pop("h"))
+    assert grads[0].flags.c_contiguous  # the ST-GCN backward sums in memory order
     assert sorted(want) == sorted(name for name, _ in p.items() if name.startswith("txp."))
     assert len(want) == 17
     for name, g in want.items():
@@ -340,8 +341,9 @@ def test_forward_tape_size(rng, monkeypatch):
         init(var, *args, **kwargs)
 
     w = random_window(rng, n_peds=4)
-    p = small_params()
     monkeypatch.setattr(Var, "__init__", counting_init)
+    p = small_params()
+    assert created == 0  # parameters are not tape nodes
     forward_raw(w, GraphConfig(), p)
     assert created == 2
     # the Gaussian head adds one node: constrain + NLL + mean are one op, and
@@ -423,7 +425,7 @@ class TestTxp:
     def test_zero_input_zero_biases(self):
         p = zero_params()
         out = txp_forward(Var(np.zeros((8, 3, 5))), p)
-        assert out.shape == (12, 3, 5)
+        assert out.data.shape == (12, 3, 5)
         assert np.allclose(out.data, 0.0)
 
     def test_first_layer_homogeneity(self, rng):
@@ -526,7 +528,7 @@ class TestParameterVector:
         window_nll(random_window(rng), GraphConfig(), p).backward()
         assert p.grad.any()
         sgd_step(p, 0.01, TrainConfig(clip_norm=1e-3))
-        p.zero_grad()
+        p.grad.fill(0.0)
         assert not p.grad.any()
         assert_views(p, table)
         assert_views(ModelParameters.load(path)[0], table)

@@ -209,6 +209,22 @@ class TestTrainLoop:
             train(split, GraphConfig(), cfg, ckpt_path=tmp_path / "m.ckpt")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_nonfinite_val_nll_names_the_window(self, rng):
+        # a finite raw output whose NLL overflows, in validation as in training
+        split = tiny_split(rng, n_train=2, n_val=3)
+        bad = split.val[1]
+        bad.scene_id = "bad"
+        bad.positions = bad.positions * 1e150
+        bad.displacements = bad.displacements * 1e150
+        with pytest.raises(ValueError, match="^window bad:0: non-finite NLL$"):
+            chunk_nll(split.val, GraphConfig(), ModelParameters(ModelConfig()))
+        cfg = TrainConfig(epochs=2, batch_size=2, lr_switch_epoch=1, seed=0)
+        with pytest.raises(TrainingDiverged) as info:
+            train(split, GraphConfig(), cfg)
+        assert str(info.value) == ("non-finite validation loss at epoch 1: "
+                                   "window bad:0: non-finite NLL")
+
     def test_single_window_overfit(self):
         w = crossing_window()
         split = DatasetSplit(train=[w], val=[], test=[], held_out_scene="x")
