@@ -17,6 +17,12 @@ import numpy as np
 
 ARCHIVE_FORMAT_VERSION = 2
 
+# largest |x| or |y| a scene file may hold, in meters. Scenes span tens of
+# meters; near the float64 limit a finite coordinate makes the model's
+# sums and the ADE's squared errors overflow, which would surface as a
+# model failure rather than as bad input
+MAX_COORDINATE = 1e6
+
 
 class TrajectoryParseError(ValueError):
     pass
@@ -93,6 +99,11 @@ def parse_trajectory_file(path) -> list[RawTrack]:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise TrajectoryParseError(
                     f"{path}:{lineno}: non-finite coordinate ({parts[2]}, {parts[3]})"
+                )
+            if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
+                raise TrajectoryParseError(
+                    f"{path}:{lineno}: coordinate ({parts[2]}, {parts[3]}) is beyond "
+                    f"{MAX_COORDINATE:g} m in magnitude"
                 )
             key = (frame_id, ped_id)
             if key in seen:

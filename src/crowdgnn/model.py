@@ -5,11 +5,13 @@ per frame with the normalized graph matrix, then convolves across observed
 frames. The TXP stack treats the time axis as channels and convolves over
 the (pedestrian, feature) plane, mapping T_obs frames to T_pred frames.
 
-Several windows run as one chunk: their pedestrians are stacked along the
-pedestrian axis with one zero gap row between neighbouring windows. Graph
-mixing runs per window; every other op runs once over the stack and writes
-zero into the gap rows, so no signal crosses windows and each window sees
-exactly the zero padding it would see alone.
+Several windows run as one chunk of at most CHUNK_PEDESTRIANS pedestrians:
+their pedestrians are stacked along the pedestrian axis with one zero gap
+row between neighbouring windows. Graph mixing runs per window; every other
+op runs once over the stack and writes zero into the gap rows, so no signal
+crosses windows and each window sees exactly the zero padding it would see
+alone. A chunk may mix graphs kept for a whole training run (windows of at
+most KEPT_GRAPH_PEDESTRIANS) with graphs built for its own forward.
 """
 from __future__ import annotations
 
@@ -37,15 +39,19 @@ TXP_LAYERS = 5
 TXP_KERNEL = 3
 PRELU_INIT = 0.25
 
-# most pedestrians stacked in one chunk (see `chunks`). A chunk's tape
-# (activations, conv inputs, graph matrices; about 9.5 kB per stacked row
-# of one 32-pedestrian window, as much after its backward) lives until the
-# caller drops its output; training keeps one through the next chunk's
-# forward, so two are alive at once and the cap bounds memory.
-# It also caps the graphs `train()` keeps: one [T_obs, N, N] graph takes
-# 2.56 MB at N=200, and keeping those of a split of dense crowds would hold
-# tens of MB for the whole run, so larger windows rebuild theirs per forward
-CHUNK_PEDESTRIANS = 32
+# the chunk cap: most pedestrians stacked in one chunk (see `chunks`), in
+# training and evaluation alike. A chunk's tape (activations, conv inputs,
+# graph matrices; about 9.5 kB per stacked row of one 32-pedestrian window,
+# as much after its backward) lives until the caller drops its output;
+# training keeps one through the next chunk's forward, so two are alive at
+# once and the cap bounds memory. Each chunk costs a fixed number of numpy
+# calls, so a larger cap runs an epoch of small windows in fewer calls
+CHUNK_PEDESTRIANS = 64
+# the graph cap: the largest window whose graph `train.kept_graphs` keeps
+# for a whole `train()` call. One [T_obs, N, N] graph takes 2.56 MB at
+# N=200, and keeping those of a split of dense crowds would hold tens of MB
+# for the whole run, so larger windows rebuild theirs on every forward
+KEPT_GRAPH_PEDESTRIANS = 32
 
 
 @dataclass
@@ -403,7 +409,8 @@ def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters,
     the stacked displacements [R, T_total, 2], each window's rows).
 
     `kept` maps id(window) to that window's normalized graph under
-    `graph_cfg`, built earlier; the other windows' graphs are built here."""
+    `graph_cfg`, built earlier (see `train.kept_graphs`); the other
+    windows' graphs are built here, so one chunk may hold both kinds."""
     disp, rows = stack_windows(windows)
     kept = kept or {}
     graphs = [kept[id(w)] if id(w) in kept else build_graph_sequence(w, graph_cfg)

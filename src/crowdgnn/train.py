@@ -1,15 +1,18 @@
 """SGD training loop over chunks of stacked windows.
 
 Windows carry heterogeneous pedestrian counts. Each shuffled batch is cut,
-in order, into chunks of at most CHUNK_PEDESTRIANS pedestrians; a chunk is
-one forward and one backward over its windows stacked along the pedestrian
-axis (see `model`). The gradients of a batch's chunks accumulate into one
-parameter update at the scheduled learning rate.
+in order, into chunks of at most `model.CHUNK_PEDESTRIANS` pedestrians (the
+chunk cap, a throughput setting); a chunk is one forward and one backward
+over its windows stacked along the pedestrian axis (see `model`). The
+gradients of a batch's chunks accumulate into one parameter update at the
+scheduled learning rate.
 
 A graph depends only on its window and the `GraphConfig`, so one `train()`
 call builds the graph of each train and validation window of at most
-CHUNK_PEDESTRIANS pedestrians once, before its first epoch, and reuses it
-in every epoch.
+`model.KEPT_GRAPH_PEDESTRIANS` pedestrians (the graph cap, a memory
+setting) once, before its first epoch, and reuses it in every epoch. A
+larger window's graph is built on each of its forwards, in whatever chunk
+it runs.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .data import DatasetSplit
 from .gaussian import constrain, mean_nll, nll
 from .graphs import GraphConfig, build_graph_sequence
 from .model import (
-    CHUNK_PEDESTRIANS, ModelConfig, ModelParameters, chunks, forward_chunk,
+    KEPT_GRAPH_PEDESTRIANS, ModelConfig, ModelParameters, chunks, forward_chunk,
 )
 
 
@@ -70,9 +73,11 @@ class EpochRecord:
 
 def kept_graphs(windows, graph_cfg: GraphConfig) -> dict[int, np.ndarray]:
     """The normalized graphs under `graph_cfg` of the `windows` with at most
-    CHUNK_PEDESTRIANS pedestrians, read-only, keyed by the window's id (the
-    dataclass is unhashable and window ids can repeat); the caller keeps the
-    windows alive while it keeps the dict.
+    KEPT_GRAPH_PEDESTRIANS pedestrians (the graph cap), read-only, keyed by
+    the window's id (the dataclass is unhashable and window ids can repeat);
+    the caller keeps the windows alive while it keeps the dict. The graph
+    cap is independent of the chunk cap: a window above it may still share a
+    chunk with smaller ones, and its graph is built by that chunk's forward.
 
     `train()` builds them all before its first epoch. Built on first use
     instead, among the first epoch's dense-crowd temporaries, they left a
@@ -81,7 +86,7 @@ def kept_graphs(windows, graph_cfg: GraphConfig) -> dict[int, np.ndarray]:
     """
     kept = {}
     for w in windows:
-        if w.n_peds <= CHUNK_PEDESTRIANS and id(w) not in kept:
+        if w.n_peds <= KEPT_GRAPH_PEDESTRIANS and id(w) not in kept:
             a = build_graph_sequence(w, graph_cfg)
             a.flags.writeable = False  # shared by every epoch
             kept[id(w)] = a

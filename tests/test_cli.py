@@ -8,11 +8,10 @@ import pytest
 import crowdgnn.cli as cli_mod
 from crowdgnn.cli import main
 from crowdgnn.data import (
-    TrajectoryWindow, leave_one_out_split, load_scene_dir,
-    load_windows, save_windows,
+    TrajectoryWindow, load_scene_dir, load_windows, save_windows,
 )
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
-from crowdgnn.model import ModelConfig, ModelParameters, chunks
+from crowdgnn.model import ModelConfig, ModelParameters
 from conftest import random_window
 from test_data import _faulty, write_format_1_archive
 from test_model import rewrite_header
@@ -365,33 +364,28 @@ class TestTrainEval:
         assert not (tmp_path / "r.json").exists()
 
         # the trained model on scenes where pedestrian 0 of the held-out scene
-        # is at 1.7e308 in frame 80. The first test window only predicts that
-        # frame: its raw output is finite and its ADE overflows. The second
-        # observes it, and its raw output overflows. Both run in the first
-        # chunk. Without pedestrian 0's frame 0, the first window lacks them
-        # and the second is named
-        for drop, named, fault in [((), 0, "non-finite ADE inf"),
-                                   (("0 0 ",), 1, "non-finite raw Gaussian parameters")]:
-            spiked = tmp_path / f"spiked-{named}"
+        # is at 1.7e308 in frame 80, with and without its frame 0: finite, but
+        # its squared errors overflow. The scene file is bad input, refused at
+        # parse time with its line, before any forward
+        for drop in [(), ("0 0 ",)]:
+            spiked = tmp_path / f"spiked-{len(drop)}"
             spiked.mkdir()
             for path in scene_dir.glob("*.txt"):
                 (spiked / path.name).write_text(path.read_text())
             eth = spiked / "eth.txt"
-            eth.write_text("".join(
-                "80 0 1.7e308 1.7e308\n" if line.startswith("80 0 ") else line
-                for line in eth.read_text().splitlines(keepends=True)
-                if not line.startswith(drop)
-            ))
-            windows = leave_one_out_split(load_scene_dir(spiked), "eth").test
-            assert len(next(chunks(windows))) > 2
-            assert [w.n_peds for w in windows[:2]] == [3 - named, 3]
+            lines = ["80 0 1.7e308 1.7e308\n" if line.startswith("80 0 ") else line
+                     for line in eth.read_text().splitlines(keepends=True)
+                     if not line.startswith(drop)]
+            eth.write_text("".join(lines))
+            lineno = 1 + lines.index("80 0 1.7e308 1.7e308\n")
             rc = main(
                 ["eval", "--ckpt", str(ckpt), "--scene-dir", str(spiked),
                  "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
             )
-            assert rc == 1
+            assert rc == 2
             err = capsys.readouterr().err
-            assert f"failure: window {windows[named].window_id}: {fault}" in err
+            assert (f"error: {eth}:{lineno}: coordinate (1.7e308, 1.7e308) is beyond "
+                    "1e+06 m in magnitude") in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

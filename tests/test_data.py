@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdgnn.data import (
+    MAX_COORDINATE,
     RawTrack,
     TrajectoryParseError,
     TrajectoryWindow,
@@ -49,6 +50,20 @@ class TestParse:
         p = write(tmp_path, f"0 1 0 0\n{line}\n")
         with pytest.raises(TrajectoryParseError, match=":2"):
             parse_trajectory_file(p)
+
+    @pytest.mark.parametrize("x, y", [("1.7e308", "0"), ("0", "-1000000.5"), ("2e6", "3")])
+    def test_coordinate_beyond_bound_reports_lineno(self, tmp_path, x, y):
+        # finite, but near the float64 limit the model's sums overflow
+        p = write(tmp_path, f"0 1 0 0\n10 1 {x} {y}\n")
+        with pytest.raises(TrajectoryParseError) as info:
+            parse_trajectory_file(p)
+        assert str(info.value) == (f"{p}:2: coordinate ({x}, {y}) is beyond "
+                                   "1e+06 m in magnitude")
+
+    def test_coordinate_on_bound_parses(self, tmp_path):
+        assert MAX_COORDINATE == 1e6
+        (r,) = parse_trajectory_file(write(tmp_path, "0 1 1e6 -1000000.0\n"))
+        assert (r.x, r.y) == (1e6, -1e6)
 
     def test_float_written_integral_ids_parse(self, tmp_path):
         p = write(tmp_path, "1.0e+01 3.0 1 2\n780.0 1.0000000e+01 0 0\n")

@@ -228,9 +228,10 @@ def spike_window(rng, scene_id):
 
 
 class TestChunkedEvaluate:
-    # ragged, in evaluation order: 32 fills a chunk exactly, 33 and 200 are
-    # above the cap and run alone, the rest stack
-    SIZES = [2, 5, 32, 3, 17, 12, 33, 2, 200, 7, 4]
+    # ragged, in evaluation order: 64 fills a chunk exactly, 65 and 200 are
+    # above the chunk cap and run alone, the rest stack (40 among them,
+    # above the graph cap)
+    SIZES = [2, 5, 64, 3, 17, 40, 65, 2, 200, 7, 4]
 
     @pytest.mark.parametrize("independent_min", [False, True])
     @pytest.mark.parametrize(
@@ -253,8 +254,8 @@ class TestChunkedEvaluate:
         rep = evaluate(windows, graph, params, k=20, seed=6,
                        independent_min=independent_min)
         assert forwards == [[w.n_peds for w in c] for c in chunks(windows)]
-        assert forwards == [[2, 5], [32], [3, 17, 12], [33], [2], [200], [7, 4]]
-        assert CHUNK_PEDESTRIANS == 32
+        assert forwards == [[2, 5], [64], [3, 17, 40], [65], [2], [200], [7, 4]]
+        assert CHUNK_PEDESTRIANS == 64
         assert [m.window_id for m in rep.per_window] == [w.window_id for w in windows]
         for w, m in zip(windows, rep.per_window):
             a, f = best_of_k(w, graph, params, k=20, seed=6,

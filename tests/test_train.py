@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,13 +9,15 @@ import crowdgnn.train as train_mod
 from crowdgnn.data import DatasetSplit
 from crowdgnn.graphs import GraphConfig, build_graph_sequence
 from crowdgnn.model import (
-    CHUNK_PEDESTRIANS, ModelConfig, ModelParameters, chunks, forward_raw,
+    CHUNK_PEDESTRIANS, KEPT_GRAPH_PEDESTRIANS, ModelConfig, ModelParameters, chunks,
+    forward_raw,
 )
 from crowdgnn.train import (
     TrainConfig,
     TrainingDiverged,
     chunk_nll,
     evaluate_nll,
+    kept_graphs,
     sgd_step,
     train,
     window_nll,
@@ -271,15 +274,16 @@ class TestTrainLoop:
 
 
 class TestChunks:
-    # ragged sizes in batch order: 32 fills the cap exactly, and so do the
-    # last four together; 90 and 200 are larger than it
-    SIZES = [5, 2, 32, 17, 2, 12, 90, 200, 3, 20, 7, 2]
+    # ragged sizes in batch order: 64 fills the chunk cap exactly, and so do
+    # the last four together; 40 and 34 are above the graph cap and share a
+    # chunk with smaller windows; 90 and 200 are above the chunk cap
+    SIZES = [5, 2, 64, 17, 2, 40, 90, 200, 3, 20, 7, 34]
 
     def test_cut_in_batch_order(self, rng):
-        assert CHUNK_PEDESTRIANS == 32
+        assert (CHUNK_PEDESTRIANS, KEPT_GRAPH_PEDESTRIANS) == (64, 32)
         batch = [random_window(rng, n_peds=n) for n in self.SIZES]
         cut = [[w.n_peds for w in c] for c in chunks(batch)]
-        assert cut == [[5, 2], [32], [17, 2, 12], [90], [200], [3, 20, 7, 2]]
+        assert cut == [[5, 2], [64], [17, 2, 40], [90], [200], [3, 20, 7, 34]]
         assert [[w.n_peds for w in c] for c in chunks(batch[:1])] == [[5]]
 
     @pytest.mark.parametrize(
@@ -299,11 +303,14 @@ class TestChunks:
             loss = window_nll(w, graph, want)
             want_nlls.append(float(loss.data))
             loss.backward(seed)
+        # chunks as train() runs them: kept graphs up to the graph cap, and
+        # the other windows' graphs built by their chunk's forward
+        kept = kept_graphs(batch, graph)
         got = ModelParameters(ModelConfig(), seed=5)
         got_nlls = []
         n_chunks = 0
         for chunk in chunks(batch, cap):
-            loss, nlls = chunk_nll(chunk, graph, got)
+            loss, nlls = chunk_nll(chunk, graph, got, kept)
             want_loss = sum(want_nlls[len(got_nlls) : len(got_nlls) + len(chunk)])
             assert abs(float(loss.data) - want_loss) <= 1e-12 * abs(want_loss)
             got_nlls.extend(nlls)
@@ -315,9 +322,79 @@ class TestChunks:
             err = np.max(np.abs(got[name].grad - v.grad))
             assert err <= 1e-12 * np.max(np.abs(v.grad)), (name, err)
 
+    @pytest.mark.parametrize(
+        "graph", [GraphConfig(), GraphConfig(neighborhood="view-approach", kernel="exp")],
+        ids=["view-inv", "view-approach-exp"],
+    )
+    def test_mixed_chunk_builds_the_large_graph_per_forward(self, monkeypatch, graph):
+        # 40 is above the graph cap and within the chunk cap: it shares one
+        # chunk with kept-graph windows, and each forward builds its graph
+        rng = np.random.default_rng(11)
+        batch = [random_window(rng, n_peds=n) for n in (5, 40, 12)]
+        assert KEPT_GRAPH_PEDESTRIANS < 40 <= CHUNK_PEDESTRIANS
+        assert len(list(chunks(batch))) == 1
+        kept = kept_graphs(batch, graph)
+        assert set(kept) == {id(batch[0]), id(batch[2])}
+        want = ModelParameters(ModelConfig(), seed=2)
+        want_loss = 0.0
+        for w in batch:
+            loss = window_nll(w, graph, want)
+            want_loss += float(loss.data)
+            loss.backward(1.0 / 3)
+        built = []
+        build = model_mod.build_graph_sequence
+
+        def spy(window, cfg):
+            built.append(window.n_peds)
+            return build(window, cfg)
+
+        monkeypatch.setattr(model_mod, "build_graph_sequence", spy)
+        got = ModelParameters(ModelConfig(), seed=2)
+        for forwards in (1, 2):
+            loss, _ = chunk_nll(batch, graph, got, kept)
+            assert built == [40] * forwards
+        assert abs(float(loss.data) - want_loss) <= 1e-12 * abs(want_loss)
+        loss.backward(1.0 / 3)
+        for name, v in want.items():
+            err = np.max(np.abs(got[name].grad - v.grad))
+            assert err <= 1e-12 * np.max(np.abs(v.grad)), (name, err)
+
+    # README: a chunk's tape holds about 9.5 kB per stacked row, and train()
+    # keeps two alive at once. A chunk of 64 pedestrians stacks at most 95
+    # rows (32 two-pedestrian windows and their 31 gap rows), so two such
+    # tapes take 1.81 MB; the bound leaves 20% over that for the temporaries
+    # of one forward and backward, a graph built per forward among them. It
+    # is fixed, not scaled by the cap: a larger cap fails here until its
+    # memory is measured and this bound re-derived
+    PEAK_BYTES = int(1.2 * 2 * 95 * 9.5e3)
+
+    @pytest.mark.parametrize("sizes", [[2] * CHUNK_PEDESTRIANS, [CHUNK_PEDESTRIANS] * 2],
+                             ids=["most-rows", "largest-graph"])
+    def test_two_full_chunks_peak_under_bound(self, sizes):
+        rng = np.random.default_rng(9)
+        batch = [random_window(rng, n_peds=n) for n in sizes]
+        graph = GraphConfig(neighborhood="view-approach", kernel="exp")
+        cut = list(chunks(batch))
+        assert [sum(w.n_peds for w in c) for c in cut] == [CHUNK_PEDESTRIANS] * 2
+        params = ModelParameters(ModelConfig(), seed=0)
+        kept = kept_graphs(batch, graph)
+        tracemalloc.start()
+        try:
+            # as in train(): each chunk's loss keeps its tape alive through
+            # the next chunk's forward
+            for chunk in cut:
+                loss, _ = chunk_nll(chunk, graph, params, kept)
+                loss.backward(1.0 / len(batch))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BYTES, peak
+
 
 class TestKeptGraphs:
-    # train and validation windows on both sides of the cap, 32 exactly on it
+    # train and validation windows on both sides of the graph cap, 32 exactly
+    # on it; in batches of 4 under the chunk cap, 33 and 40 share chunks with
+    # smaller windows
     TRAIN_SIZES = [3, 32, 33, 5, 40, 2]
     VAL_SIZES = [2, 33]
     CFG = TrainConfig(epochs=3, batch_size=4, lr_switch_epoch=2, seed=1)
@@ -349,18 +426,28 @@ class TestKeptGraphs:
             train(split, self.GRAPH, self.CFG)
             for w in split.train + split.val:
                 # each window runs one forward per epoch
-                want = 1 if w.n_peds <= CHUNK_PEDESTRIANS else self.CFG.epochs
+                want = 1 if w.n_peds <= KEPT_GRAPH_PEDESTRIANS else self.CFG.epochs
                 assert built[id(w)] == want, w.n_peds
         for w in split.train + split.val:
             a = graphs[id(w)]
-            assert a.flags.writeable == (w.n_peds > CHUNK_PEDESTRIANS), w.n_peds
-            if w.n_peds <= CHUNK_PEDESTRIANS:
+            assert a.flags.writeable == (w.n_peds > KEPT_GRAPH_PEDESTRIANS), w.n_peds
+            if w.n_peds <= KEPT_GRAPH_PEDESTRIANS:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, 0, 0] = 1.0
 
     def test_bitwise_equal_to_building_every_forward(self, monkeypatch):
         split = self.split()
+        sizes = []
+        real = train_mod.chunk_nll
+
+        def spy(windows, *args):
+            sizes.append([w.n_peds for w in windows])
+            return real(windows, *args)
+
+        monkeypatch.setattr(train_mod, "chunk_nll", spy)
         params, history = train(split, self.GRAPH, self.CFG)
+        # some training chunk mixes a graph built per forward with kept ones
+        assert any(len(c) > 1 and max(c) > KEPT_GRAPH_PEDESTRIANS for c in sizes)
         # no kept graphs: every forward builds its windows' graphs
         monkeypatch.setattr(train_mod, "kept_graphs", lambda windows, cfg: {})
         want_params, want_history = train(split, self.GRAPH, self.CFG)
