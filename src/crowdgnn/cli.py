@@ -1,4 +1,4 @@
-"""Command-line entry point: prep, dump-graph, train, eval, sweep, export-plot.
+"""Command-line entry point: dump-graph, train, eval, sweep, export-plot.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/input error. The default
 scene directory can be set with the CROWDGNN_DATA_DIR environment variable;
@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +52,25 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_data_flags(p, split: bool = True):
-    """--scene-dir and --stride; with `split`, the horizons and --val-fraction too."""
+def _add_scene_dir_flag(p):
     p.add_argument(
         "--scene-dir",
         default=os.environ.get("CROWDGNN_DATA_DIR"),
         help="directory of per-scene .txt trajectory files",
     )
+
+
+def _add_horizon_flags(p):
+    p.add_argument("--t-obs", type=_int_at_least(2), default=8)
+    p.add_argument("--t-pred", type=_int_at_least(1), default=12)
+
+
+def _add_data_flags(p, split: bool = True):
+    """--scene-dir and --stride; with `split`, the horizons and --val-fraction too."""
+    _add_scene_dir_flag(p)
     p.add_argument("--stride", type=_int_at_least(1), default=1)
     if split:
-        p.add_argument("--t-obs", type=_int_at_least(2), default=8)
-        p.add_argument("--t-pred", type=_int_at_least(1), default=12)
+        _add_horizon_flags(p)
         p.add_argument("--val-fraction", type=float, default=0.1)
 
 
@@ -125,12 +132,10 @@ def _scene_dir(args) -> Path:
     return scene_dir
 
 
-def _require_test(test: list, held_out: str, t_total: int) -> list:
-    if not test:  # fail before anything is trained or evaluated
-        raise UsageError(
-            f"held-out scene {held_out!r} has no {t_total}-frame window to evaluate"
-        )
-    return test
+def _require_windows(windows: list, scene: str, t_total: int) -> list:
+    if not windows:  # fail before anything is trained, evaluated or written
+        raise UsageError(f"scene {scene!r} has no {t_total}-frame window")
+    return windows
 
 
 def _load_split(args) -> tuple[dict, DatasetSplit]:
@@ -146,15 +151,31 @@ def _load_split(args) -> tuple[dict, DatasetSplit]:
     return scenes, split
 
 
-def _load_held_out(args, t_obs: int, t_pred: int) -> list:
-    """The windows of <scene-dir>/<held-out>.txt alone, cut with the given horizons."""
+def _load_scene(args, scene: str, t_obs: int, t_pred: int, stride: int) -> list:
+    """The windows of <scene-dir>/<scene>.txt alone; there must be one."""
     scene_dir = _scene_dir(args)
-    path = scene_dir / f"{args.held_out}.txt"
+    path = scene_dir / f"{scene}.txt"
     if path.parent != scene_dir or not path.is_file():
-        raise UsageError(f"held-out scene file not found: {path}")
-    tracks = data_mod.parse_trajectory_file(path)
-    windows = data_mod.make_windows(tracks, t_obs, t_pred, args.stride, args.held_out)
-    return _require_test(windows, args.held_out, t_obs + t_pred)
+        raise UsageError(f"scene file not found: {path}")
+    windows = data_mod.load_scene(path, t_obs, t_pred, stride)
+    return _require_windows(windows, scene, t_obs + t_pred)
+
+
+def _window_scene(window_id: str) -> str:
+    """The scene of a `<scene>:<start frame>` window id (a scene id may hold ':')."""
+    scene, _, start = window_id.rpartition(":")
+    if not scene or not start.isdigit():
+        raise UsageError(f"malformed window id {window_id!r}: want <scene>:<start frame>")
+    if (fault := data_mod._scene_id_fault(scene)) is not None:
+        raise UsageError(f"window id {window_id!r}: {fault}")
+    return scene
+
+
+def _find_window(windows: list, window_id: str):
+    for w in windows:
+        if w.window_id == window_id:
+            return w
+    raise UsageError(f"unknown window id {window_id!r}")
 
 
 def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig, dict]:
@@ -171,45 +192,14 @@ def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig, dict]:
 # ---- subcommands ------------------------------------------------------------
 
 
-def cmd_prep(args) -> int:
-    scenes, split = _load_split(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, windows in [("train", split.train), ("val", split.val), ("test", split.test)]:
-        data_mod.save_windows(out / f"{name}.npz", windows)
-    manifest = {
-        "format_version": data_mod.ARCHIVE_FORMAT_VERSION,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scenes": {name: len(w) for name, w in sorted(scenes.items())},
-        "held_out": args.held_out,
-        "window_counts": {
-            "train": len(split.train),
-            "val": len(split.val),
-            "test": len(split.test),
-        },
-        "config_echo": {
-            k: getattr(args, k)
-            for k in ["scene_dir", "held_out", "t_obs", "t_pred", "stride",
-                      "val_fraction", "seed"]
-        },
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    print(f"wrote {out}/{{train,val,test}}.npz + manifest.json")
-    return 0
-
-
 def cmd_dump_graph(args) -> int:
-    windows = data_mod.load_windows(args.archive)
+    windows = _load_scene(args, args.scene, args.t_obs, args.t_pred, stride=1)
+    if args.window_id is not None:
+        windows = [_find_window(windows, args.window_id)]
     cfg = _graph_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    selected = [
-        w for w in windows if args.window_id is None or w.window_id == args.window_id
-    ]
-    if args.window_id is not None and not selected:
-        raise UsageError(f"unknown window id {args.window_id!r}")
-    for w in selected:
+    for w in windows:
         adjacency = graph_adjacency(w, cfg)
         doc = {
             "window_id": w.window_id,
@@ -221,7 +211,7 @@ def cmd_dump_graph(args) -> int:
         fname = w.window_id.replace(":", "_") + ".json"
         with open(out / fname, "w") as fh:
             json.dump(doc, fh)
-    print(f"wrote {len(selected)} graph document(s) to {out}")
+    print(f"wrote {len(windows)} graph document(s) to {out}")
     return 0
 
 
@@ -250,7 +240,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, graph_cfg, extra = _load_checkpoint(args.ckpt)
-    test = _load_held_out(args, params.cfg.t_obs, params.cfg.t_pred)
+    test = _load_scene(args, args.held_out, params.cfg.t_obs, params.cfg.t_pred,
+                       args.stride)
     report = evaluate(
         test,
         graph_cfg,
@@ -285,7 +276,7 @@ def cmd_sweep(args) -> int:
     if not 0 < args.subsample <= 1:  # NaN too
         raise UsageError(f"--subsample must be in (0, 1], got {args.subsample}")
     _, split = _load_split(args)
-    _require_test(split.test, args.held_out, args.t_obs + args.t_pred)
+    _require_windows(split.test, args.held_out, args.t_obs + args.t_pred)
     if args.subsample < 1.0:
         rng = np.random.default_rng(args.seed)
 
@@ -321,17 +312,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_plot(args) -> int:
     params, graph_cfg, _ = _load_checkpoint(args.ckpt)
-    windows = data_mod.load_windows(args.archive)
-    matches = [w for w in windows if w.window_id == args.window_id]
-    if not matches:
-        raise UsageError(f"unknown window id {args.window_id!r}")
-    w = matches[0]
-    if (w.t_obs, w.t_pred) != (params.cfg.t_obs, params.cfg.t_pred):
-        raise UsageError(
-            f"{args.archive}: window {w.window_id} has t_obs={w.t_obs}, "
-            f"t_pred={w.t_pred}, but {args.ckpt} was trained with "
-            f"t_obs={params.cfg.t_obs}, t_pred={params.cfg.t_pred}"
-        )
+    # stride 1 reaches every start frame
+    scene = _window_scene(args.window_id)
+    windows = _load_scene(args, scene, params.cfg.t_obs, params.cfg.t_pred, stride=1)
+    w = _find_window(windows, args.window_id)
     rows = []
     for i in range(w.n_peds):
         for t in range(w.t_obs + w.t_pred):
@@ -385,17 +369,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
         dest="command", required=True, parser_class=_FlagParser
     )
 
-    p = sub.add_parser("prep", help="parse scenes, window, split, and archive")
-    _add_data_flags(p)
-    p.add_argument("--held-out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--out", required=True, help="output directory for archives")
-    p.set_defaults(func=cmd_prep)
-
-    p = sub.add_parser("dump-graph", help="emit adjacency JSON per window")
+    p = sub.add_parser("dump-graph", help="emit adjacency JSON per window of a scene")
+    _add_scene_dir_flag(p)
+    p.add_argument("--scene", required=True, help="scene id: the file stem in --scene-dir")
+    p.add_argument("--window-id", default=None, help="<scene>:<start frame>")
+    _add_horizon_flags(p)
     _add_graph_flags(p)
-    p.add_argument("--archive", required=True, help="window archive (.npz)")
-    p.add_argument("--window-id", default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_dump_graph)
 
@@ -434,8 +413,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _FlagParser]]:
 
     p = sub.add_parser("export-plot", help="CSV of observed/truth/sampled points")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--archive", required=True)
-    p.add_argument("--window-id", required=True)
+    _add_scene_dir_flag(p)
+    p.add_argument("--window-id", required=True, help="<scene>:<start frame>")
     p.add_argument("--samples", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
@@ -497,7 +476,10 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every non-finite result is checked and named, so numpy's floating
+        # point warnings would only print ahead of that one line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     # TrajectoryParseError is a ValueError
     except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,15 +7,11 @@ intervals).
 from __future__ import annotations
 
 import math
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-ARCHIVE_FORMAT_VERSION = 2
 
 # largest |x| or |y| a scene file may hold, in meters. Scenes span tens of
 # meters; near the float64 limit a finite coordinate makes the model's
@@ -196,47 +192,6 @@ def leave_one_out_split(
     )
 
 
-def load_scene_dir(
-    scene_dir,
-    t_obs: int = 8,
-    t_pred: int = 12,
-    stride: int = 1,
-) -> dict[str, list[TrajectoryWindow]]:
-    """Parse every `.txt` file in a directory into windows, keyed by stem."""
-    scene_dir = Path(scene_dir)
-    files = sorted(scene_dir.glob("*.txt"))
-    scenes = {}
-    for f in files:
-        if (fault := _scene_id_fault(f.stem)) is not None:
-            raise ValueError(f"{f}: {fault}")
-        tracks = parse_trajectory_file(f)
-        scenes[f.stem] = make_windows(tracks, t_obs, t_pred, stride, scene_id=f.stem)
-    return scenes
-
-
-# ---- window archives -------------------------------------------------------
-
-
-# what np.load and reading the arrays raise for a file that is not a
-# readable window archive: empty, truncated, not a zip, pickled, a bare .npy,
-# missing or mis-shaped entries
-_ARCHIVE_READ_ERRORS = (
-    OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile, zlib.error
-)
-
-
-def save_windows(path, windows: list[TrajectoryWindow]) -> None:
-    arrays = {
-        "format_version": np.array(ARCHIVE_FORMAT_VERSION),
-        "n_windows": np.array(len(windows)),
-    }
-    for i, w in enumerate(windows):
-        arrays[f"w{i}_positions"] = w.positions
-        arrays[f"w{i}_meta"] = np.array([w.start_frame, w.t_obs, w.t_pred])
-        arrays[f"w{i}_scene"] = np.array(w.scene_id)
-    np.savez(path, **arrays)
-
-
 def _scene_id_fault(scene_id: str) -> str | None:
     """What makes a scene id unusable (`dump-graph` names files after it), or None."""
     if any(c in scene_id for c in "/\\\0"):
@@ -244,58 +199,23 @@ def _scene_id_fault(scene_id: str) -> str | None:
     return None
 
 
-def _window_fault(scene_id: str, positions: np.ndarray,
-                  t_obs: int, t_pred: int) -> str | None:
-    """What makes an archived window unusable, or None."""
-    if (fault := _scene_id_fault(scene_id)) is not None:
-        return fault
-    if t_obs < 2 or t_pred < 1:
-        return f"need t_obs >= 2 and t_pred >= 1, got {t_obs} and {t_pred}"
-    n = positions.shape[0] if positions.ndim == 3 else 0
-    if n < 2 or positions.shape != (n, t_obs + t_pred, 2):
-        return f"positions of shape {positions.shape}, want [N >= 2, {t_obs + t_pred}, 2]"
-    if positions.dtype.kind not in "fiu":
-        return f"positions of dtype {positions.dtype}, want numbers"
-    if not np.all(np.isfinite(positions)):
-        return "non-finite positions"
-    return None
+def load_scene(path, t_obs: int, t_pred: int, stride: int) -> list[TrajectoryWindow]:
+    """The windows of one scene file, whose stem is their scene id."""
+    path = Path(path)
+    if (fault := _scene_id_fault(path.stem)) is not None:
+        raise ValueError(f"{path}: {fault}")
+    tracks = parse_trajectory_file(path)
+    return make_windows(tracks, t_obs, t_pred, stride, scene_id=path.stem)
 
 
-def load_windows(path) -> list[TrajectoryWindow]:
-    """The checked windows of an archive written by `save_windows`, with
-    float64 positions.
-
-    Any failure to read the archive is a ValueError naming it; a missing
-    file stays a FileNotFoundError.
-    """
-    entries = []
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            version = int(z["format_version"])
-            n_windows = int(z["n_windows"]) if version == ARCHIVE_FORMAT_VERSION else 0
-            for i in range(n_windows):
-                start_frame, t_obs, t_pred = (int(v) for v in z[f"w{i}_meta"])
-                entries.append(
-                    (str(z[f"w{i}_scene"]), start_frame, z[f"w{i}_positions"], t_obs, t_pred)
-                )
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_READ_ERRORS as exc:
-        raise ValueError(f"{path}: unreadable archive: {exc}") from exc
-    if version != ARCHIVE_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: archive format version {version}, this version reads only "
-            f"{ARCHIVE_FORMAT_VERSION}; re-run `crowdgnn prep` to rewrite it"
-        )
-    windows = []
-    for i, (scene_id, start_frame, pos, t_obs, t_pred) in enumerate(entries):
-        # every later stage computes in float64 (the graph builder writes
-        # square roots into a buffer of the positions' dtype), so numeric
-        # archives of another dtype load as float64 before the checks
-        if pos.dtype.kind in "fiu":
-            pos = pos.astype(np.float64, copy=False)
-        fault = _window_fault(scene_id, pos, t_obs, t_pred)
-        if fault is not None:
-            raise ValueError(f"{path}: window {i}: {fault}")
-        windows.append(TrajectoryWindow(scene_id, start_frame, pos, t_obs, t_pred))
-    return windows
+def load_scene_dir(
+    scene_dir,
+    t_obs: int = 8,
+    t_pred: int = 12,
+    stride: int = 1,
+) -> dict[str, list[TrajectoryWindow]]:
+    """Parse every `.txt` file in a directory into windows, keyed by stem."""
+    return {
+        f.stem: load_scene(f, t_obs, t_pred, stride)
+        for f in sorted(Path(scene_dir).glob("*.txt"))
+    }

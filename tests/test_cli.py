@@ -7,13 +7,9 @@ import pytest
 
 import crowdgnn.cli as cli_mod
 from crowdgnn.cli import main
-from crowdgnn.data import (
-    TrajectoryWindow, load_scene_dir, load_windows, save_windows,
-)
+from crowdgnn.data import load_scene, load_scene_dir
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
-from crowdgnn.model import ModelConfig, ModelParameters
-from conftest import random_window
-from test_data import _faulty, write_format_1_archive
+from crowdgnn.model import ModelParameters
 from test_model import rewrite_header
 
 
@@ -45,17 +41,6 @@ def short_scene_dir(scene_dir, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def prep_dir(scene_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("prep")
-    rc = main(
-        ["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
-         "--out", str(out), "--seed", "0"]
-    )
-    assert rc == 0
-    return out
-
-
-@pytest.fixture(scope="module")
 def ckpt(scene_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     rc = main(
@@ -67,43 +52,35 @@ def ckpt(scene_dir, tmp_path_factory):
     return out
 
 
-class TestPrep:
-    def test_manifest_and_archives(self, prep_dir):
-        manifest = json.loads((prep_dir / "manifest.json").read_text())
-        assert manifest["held_out"] == "eth"
-        assert manifest["config_echo"]["t_obs"] == 8
-        assert manifest["config_echo"]["t_pred"] == 12
-        assert set(manifest["scenes"]) == {"eth", "hotel", "univ", "zara01", "zara02"}
-        test_windows = load_windows(prep_dir / "test.npz")
-        assert test_windows
-        assert all(w.scene_id == "eth" for w in test_windows)
+def eth_windows(scene_dir):
+    """The held-out scene's windows, as eval cuts them."""
+    return load_scene(scene_dir / "eth.txt", 8, 12, 1)
 
-    def test_custom_horizons_echoed(self, scene_dir, tmp_path):
-        rc = main(
-            ["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
-             "--t-obs", "6", "--t-pred", "4", "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["config_echo"]["t_obs"] == 6
-        assert manifest["config_echo"]["t_pred"] == 4
 
+class TestSceneFiles:
     def test_empty_directory_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         rc = main(
-            ["prep", "--scene-dir", str(empty), "--held-out", "eth",
-             "--out", str(tmp_path / "o")]
+            ["train", "--scene-dir", str(empty), "--held-out", "eth",
+             "--out", str(tmp_path / "m.ckpt")]
         )
         assert rc == 2
-        assert "no scene files" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no scene files\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
-    def test_missing_dir_exit_2(self, tmp_path):
-        rc = main(
-            ["prep", "--scene-dir", str(tmp_path / "nope"), "--held-out", "eth",
-             "--out", str(tmp_path / "o")]
-        )
+    @pytest.mark.parametrize("command", ["train", "dump-graph"])
+    def test_missing_dir_exit_2(self, tmp_path, capsys, command):
+        missing, out = tmp_path / "nope", tmp_path / "o"
+        rc = main({
+            "train": ["train", "--scene-dir", str(missing), "--held-out", "eth",
+                      "--out", str(out)],
+            "dump-graph": ["dump-graph", "--scene-dir", str(missing), "--scene", "eth",
+                           "--out", str(out)],
+        }[command])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: scene directory not found: {missing}\n"
+        assert not out.exists()
 
     def test_non_utf8_scene_file_names_file(self, scene_dir, tmp_path, capsys):
         scenes = tmp_path / "scenes"
@@ -111,142 +88,169 @@ class TestPrep:
         bad = scenes / "bad.txt"
         bad.write_bytes(b"\xff0 1 2.0 3.0\n")
         rc = main(
-            ["prep", "--scene-dir", str(scenes), "--held-out", "eth",
-             "--out", str(tmp_path / "o")]
+            ["train", "--scene-dir", str(scenes), "--held-out", "eth",
+             "--out", str(tmp_path / "m.ckpt")]
         )
         assert rc == 2
         assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "m.ckpt").exists()
 
-    def test_backslash_scene_stem_exit_2(self, scene_dir, tmp_path, capsys):
-        # legal in a Linux file name, but no archived window may hold it
+    @pytest.mark.parametrize("command", ["train", "eval", "dump-graph"])
+    def test_backslash_scene_stem_exit_2(self, scene_dir, ckpt, tmp_path, capsys, command):
+        # legal in a Linux file name, but dump-graph names files after scene ids
         scenes = tmp_path / "scenes"
         shutil.copytree(scene_dir, scenes)
         bad = scenes / "a\\b.txt"
         bad.write_text((scenes / "eth.txt").read_text())
-        rc = main(
-            ["prep", "--scene-dir", str(scenes), "--held-out", "a\\b",
-             "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "out"
+        rc = main({
+            "train": ["train", "--scene-dir", str(scenes), "--held-out", "a\\b",
+                      "--out", str(out)],
+            "eval": ["eval", "--ckpt", str(ckpt), "--scene-dir", str(scenes),
+                     "--held-out", "a\\b", "--report", str(out)],
+            "dump-graph": ["dump-graph", "--scene-dir", str(scenes), "--scene", "a\\b",
+                           "--out", str(out)],
+        }[command])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"error: {bad}: scene id 'a\\\\b' holds a path separator or NUL" in err
-        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err == (
+            f"error: {bad}: scene id 'a\\\\b' holds a path separator or NUL\n")
+        assert not out.exists()
 
     def test_unknown_held_out_scene_exit_2(self, scene_dir, tmp_path, capsys):
         rc = main(
-            ["prep", "--scene-dir", str(scene_dir), "--held-out", "x",
-             "--out", str(tmp_path / "o")]
+            ["train", "--scene-dir", str(scene_dir), "--held-out", "x",
+             "--out", str(tmp_path / "m.ckpt")]
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: unknown scene 'x'; have ['eth', ")
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_key_error_is_a_runtime_failure(self, scene_dir, tmp_path, capsys, monkeypatch):
         def fault(*args, **kwargs):
-            raise KeyError("w0_positions")
+            raise KeyError("adjacency")
 
-        monkeypatch.setattr(cli_mod.data_mod, "save_windows", fault)
+        monkeypatch.setattr(cli_mod, "graph_adjacency", fault)
         rc = main(
-            ["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
-             "--out", str(tmp_path / "o")]
+            ["dump-graph", "--scene-dir", str(scene_dir), "--scene", "eth",
+             "--out", str(tmp_path / "g")]
         )
         assert rc == 1
-        assert capsys.readouterr().err == "failure: 'w0_positions'\n"
+        assert capsys.readouterr().err == "failure: 'adjacency'\n"
+
+    def test_prep_is_gone(self, scene_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'prep'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+# the commands that take a window id, each writing to `out`
+def window_id_argv(command, scene_dir, ckpt, window_id, out):
+    return {
+        "dump-graph": ["dump-graph", "--scene-dir", str(scene_dir), "--scene", "zara01",
+                       "--window-id", window_id, "--out", str(out)],
+        "export-plot": ["export-plot", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
+                        "--window-id", window_id, "--samples", "2", "--out", str(out)],
+    }[command]
 
 
 class TestDumpGraph:
-    def test_documents_written(self, prep_dir, tmp_path):
+    def test_documents_written(self, scene_dir, tmp_path):
         out = tmp_path / "graphs"
         rc = main(
-            ["dump-graph", "--archive", str(prep_dir / "test.npz"),
+            ["dump-graph", "--scene-dir", str(scene_dir), "--scene", "eth",
              "--graph", "view-thresh", "--kernel", "exp", "--out", str(out)]
         )
         assert rc == 0
-        docs = list(out.glob("*.json"))
-        assert docs
+        windows = eth_windows(scene_dir)
+        docs = sorted(out.glob("*.json"))
+        assert sorted(p.name for p in docs) == sorted(
+            w.window_id.replace(":", "_") + ".json" for w in windows)
         doc = json.loads(docs[0].read_text())
         assert doc["config_echo"]["neighborhood"] == "view-thresh"
         assert doc["config_echo"]["kernel"] == "exp"
         adj = np.array(doc["adjacency"])
         assert adj.shape[0] == 8  # observed frames
         assert np.allclose(adj, np.transpose(adj, (0, 2, 1)))
-        (w,) = [w for w in load_windows(prep_dir / "test.npz")
-                if w.window_id == doc["window_id"]]
+        (w,) = [w for w in windows if w.window_id == doc["window_id"]]
         cfg = GraphConfig(neighborhood="view-thresh", kernel="exp")
         want = graph_adjacency(w, cfg)
         assert np.array_equal(adj, want)
         assert np.array_equal(doc["degree"], want.sum(axis=2))
         assert np.array_equal(doc["normalized"], build_graph_sequence(w, cfg))
 
-    def test_unknown_window_id_errors(self, prep_dir, tmp_path):
-        rc = main(
-            ["dump-graph", "--archive", str(prep_dir / "test.npz"),
-             "--window-id", "nope:999", "--out", str(tmp_path / "g")]
-        )
-        assert rc == 2
+    def test_window_id_selects_one_document(self, scene_dir, tmp_path):
+        out = tmp_path / "graphs"
+        rc = main(window_id_argv("dump-graph", scene_dir, None, "zara01:10", out))
+        assert rc == 0
+        assert [p.name for p in out.glob("*.json")] == ["zara01_10.json"]
 
-    @pytest.mark.parametrize("fault", ["t_obs=1", "nan-position"])
-    def test_faulty_archive_exit_2(self, tmp_path, rng, fault, capsys):
-        archive = tmp_path / "bad.npz"
-        save_windows(archive, [_faulty(random_window(rng), fault)])
-        rc = main(
-            ["dump-graph", "--archive", str(archive), "--graph", "approach",
-             "--out", str(tmp_path / "g")]
-        )
+    def test_scene_without_windows_exit_2(self, short_scene_dir, tmp_path, capsys):
+        out = tmp_path / "graphs"
+        rc = main(["dump-graph", "--scene-dir", str(short_scene_dir), "--scene", "short",
+                   "--out", str(out)])
         assert rc == 2
-        assert f"{archive}: window 0: " in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
+        assert capsys.readouterr().err == "error: scene 'short' has no 20-frame window\n"
+        assert not out.exists()
 
-    def test_scene_id_path_writes_nothing(self, tmp_path, rng, capsys):
-        archive = tmp_path / "bad.npz"
-        bad = _faulty(random_window(rng), "scene-id-slash")
-        save_windows(archive, [random_window(rng), bad])
-        out = tmp_path / "inside" / "out"
-        rc = main(["dump-graph", "--archive", str(archive), "--out", str(out)])
+    @pytest.mark.parametrize("scene", ["nope", "../{scenes}/eth", "a/b"],
+                             ids=["missing", "outside-scene-dir", "slash"])
+    def test_scene_outside_scene_dir_exit_2(self, scene_dir, tmp_path, capsys, scene):
+        scene = scene.format(scenes=scene_dir.name)
+        out = tmp_path / "graphs"
+        rc = main(["dump-graph", "--scene-dir", str(scene_dir), "--scene", scene,
+                   "--out", str(out)])
         assert rc == 2
-        assert (f"error: {archive}: window 1: scene id '../escaped' holds a path "
-                "separator or NUL") in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.npz"]
+        assert (capsys.readouterr().err
+                == f"error: scene file not found: {scene_dir / scene}.txt\n")
+        assert not out.exists()
 
-    def test_format_1_archive_exit_2(self, tmp_path, rng, capsys):
-        archive = tmp_path / "old.npz"
-        write_format_1_archive(archive, random_window(rng))
-        rc = main(["dump-graph", "--archive", str(archive), "--out", str(tmp_path / "g")])
+
+class TestWindowIds:
+    @pytest.mark.parametrize("command", ["dump-graph", "export-plot"])
+    @pytest.mark.parametrize("window_id", ["zara01", "zara01:", "zara01:x", "zara01:1.5",
+                                           "zara01:5", "zara01:999", "../scenes/zara01:0", "a/b:0",
+                                           "a\\b:0"])
+    def test_bad_id_exit_2_names_it(self, scene_dir, ckpt, tmp_path, capsys, command,
+                                    window_id):
+        out = tmp_path / "out"
+        rc = main(window_id_argv(command, scene_dir, ckpt, window_id, out))
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {archive}: archive format version 1, ")
-        assert "re-run `crowdgnn prep`" in err
-        assert not (tmp_path / "g").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(window_id) in err
+        assert not out.exists()
 
-    def test_integer_archive_same_documents(self, tmp_path, rng):
-        # whole-meter positions: the same values as int64 and as float64
-        pos = rng.integers(-20, 20, size=(3, 20, 2))
-        docs = {}
-        for dtype in ("int64", "float64"):
-            p = pos.astype(dtype)
-            w = TrajectoryWindow("ints", 40, p, 8, 12)
-            assert w.positions.dtype == w.displacements.dtype == dtype
-            archive = tmp_path / f"{dtype}.npz"
-            save_windows(archive, [w])
-            out = tmp_path / f"graphs-{dtype}"
-            rc = main(["dump-graph", "--archive", str(archive), "--graph", "view-approach",
-                       "--kernel", "exp", "--out", str(out)])
-            assert rc == 0
-            docs[dtype] = {f.name: f.read_bytes() for f in out.glob("*.json")}
-        assert list(docs["int64"]) == ["ints_40.json"]
-        assert docs["int64"] == docs["float64"]
+    @pytest.mark.parametrize("command", ["dump-graph", "export-plot"])
+    def test_start_frame_only_stride_1_reaches(self, scene_dir, ckpt, tmp_path, command):
+        # frames are 10 apart, so zara01:10 starts a window at stride 1 only
+        strided = load_scene(scene_dir / "zara01.txt", 8, 12, 2)
+        assert "zara01:10" not in [w.window_id for w in strided]
+        out = tmp_path / "out"
+        assert main(window_id_argv(command, scene_dir, ckpt, "zara01:10", out)) == 0
+        assert out.exists()
 
-    @pytest.mark.parametrize("content", [b"", b"frame ped x y\n"], ids=["empty", "text"])
-    def test_unreadable_archive_exit_2(self, tmp_path, content, capsys):
-        archive = tmp_path / "bad.npz"
-        archive.write_bytes(content)
-        rc = main(
-            ["dump-graph", "--archive", str(archive), "--out", str(tmp_path / "g")]
-        )
-        assert rc == 2
-        assert f"{archive}: unreadable archive: " in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
+    def test_scene_id_holding_colon(self, scene_dir, ckpt, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(scene_dir, scenes)
+        (scenes / "a:b.txt").write_text((scenes / "eth.txt").read_text())
+        plot = tmp_path / "plot.csv"
+        rc = main(["export-plot", "--ckpt", str(ckpt), "--scene-dir", str(scenes),
+                   "--window-id", "a:b:10", "--samples", "0", "--out", str(plot)])
+        assert rc == 0
+        truth = [(r["x"], r["y"]) for r in csv.DictReader(plot.open())]
+        plot_eth = tmp_path / "eth.csv"
+        rc = main(["export-plot", "--ckpt", str(ckpt), "--scene-dir", str(scenes),
+                   "--window-id", "eth:10", "--samples", "0", "--out", str(plot_eth)])
+        assert rc == 0
+        assert truth == [(r["x"], r["y"]) for r in csv.DictReader(plot_eth.open())]
+        graphs = tmp_path / "graphs"
+        rc = main(["dump-graph", "--scene-dir", str(scenes), "--scene", "a:b",
+                   "--window-id", "a:b:10", "--out", str(graphs)])
+        assert rc == 0
+        assert [p.name for p in graphs.glob("*.json")] == ["a_b_10.json"]
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +302,7 @@ class TestTrainEval:
              "--held-out", "short", "--report", str(report)]
         )
         assert rc == 2
-        assert "held-out scene 'short' has no 20-frame window" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: scene 'short' has no 20-frame window\n"
         assert not report.exists()
 
     def test_eval_deterministic(self, scene_dir, ckpt, tmp_path):
@@ -349,18 +353,18 @@ class TestTrainEval:
         assert rc == 2
         assert f"{bad}: tensor txp.out.b holds non-finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_overflowing_forward_exit_1(self, scene_dir, prep_dir, ckpt, overflow_ckpt,
-                                        tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning precedes the failure
+    def test_overflowing_forward_exit_1(self, scene_dir, ckpt, overflow_ckpt, tmp_path,
+                                        capsys):
         # a runtime failure that names the window, not an input error
-        first = load_windows(prep_dir / "test.npz")[0].window_id
+        first = eth_windows(scene_dir)[0].window_id
         rc = main(
             ["eval", "--ckpt", str(overflow_ckpt), "--scene-dir", str(scene_dir),
              "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"failure: window {first}: non-finite raw Gaussian parameters" in err
+        assert err == f"failure: window {first}: non-finite raw Gaussian parameters\n"
         assert not (tmp_path / "r.json").exists()
 
         # the trained model on scenes where pedestrian 0 of the held-out scene
@@ -388,10 +392,9 @@ class TestTrainEval:
                     "1e+06 m in magnitude") in err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning precedes the failure
     @pytest.mark.parametrize("bias", [800.0, 400.0])
-    def test_overflowing_sigma_exit_1(self, scene_dir, prep_dir, ckpt, tmp_path, capsys,
-                                      bias):
+    def test_overflowing_sigma_exit_1(self, scene_dir, ckpt, tmp_path, capsys, bias):
         # finite raw outputs: at 800 sigma = e^800 overflows and the samples
         # are NaN, at 400 the samples are finite and the ADE norm overflows
         params, extra = ModelParameters.load(ckpt)
@@ -403,8 +406,10 @@ class TestTrainEval:
              "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
         )
         assert rc == 1
-        first = load_windows(prep_dir / "test.npz")[0].window_id
-        assert f"failure: window {first}: non-finite ADE" in capsys.readouterr().err
+        first = eth_windows(scene_dir)[0].window_id
+        err = capsys.readouterr().err
+        assert err.startswith(f"failure: window {first}: non-finite ADE")
+        assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
@@ -474,27 +479,37 @@ class TestTrainEval:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"error: held-out scene file not found: {scene_dir / held_out}.txt" in err
+        assert err == f"error: scene file not found: {scene_dir / held_out}.txt\n"
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["eval", "export-plot"])
-    def test_checkpoint_without_graph_config_exit_2(self, scene_dir, prep_dir, ckpt,
-                                                    tmp_path, capsys, command):
+    def test_checkpoint_without_graph_config_exit_2(self, scene_dir, ckpt, tmp_path,
+                                                    capsys, command):
         bad = tmp_path / "nograph.ckpt"
         bad.write_bytes(ckpt.read_bytes())
         rewrite_header(bad, drop_graph_config)
         out = tmp_path / "out"
-        first = load_windows(prep_dir / "test.npz")[0].window_id
         rc = main({
             "eval": ["eval", "--ckpt", str(bad), "--scene-dir", str(scene_dir),
                      "--held-out", "eth", "--report", str(out)],
-            "export-plot": ["export-plot", "--ckpt", str(bad), "--archive",
-                            str(prep_dir / "test.npz"), "--window-id", first,
-                            "--out", str(out)],
+            "export-plot": ["export-plot", "--ckpt", str(bad), "--scene-dir",
+                            str(scene_dir), "--window-id", "eth:0", "--out", str(out)],
         }[command])
         assert rc == 2
         assert f"error: {bad}: checkpoint stores no graph config" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning precedes the failure
+    def test_diverging_train_exit_1(self, scene_dir, tmp_path, capsys):
+        rc = main(
+            ["train", "--scene-dir", str(scene_dir), "--held-out", "eth", "--epochs", "5",
+             "--lr-initial", "1e8", "--lr-after", "1e8", "--out", str(tmp_path / "m.ckpt"),
+             "--quiet"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure: non-finite ") and " loss at epoch " in err
+        assert err.count("\n") == 1
 
     def test_invalid_train_config_exit_2(self, scene_dir, tmp_path, capsys):
         for flag, value in (("--batch", "0"), ("--clip-norm", "-1")):
@@ -523,14 +538,12 @@ class TestTrainEval:
 
 
 class TestExportPlot:
-    def test_row_counts_and_truth_roundtrip(self, prep_dir, ckpt, tmp_path):
-        windows = load_windows(prep_dir / "test.npz")
-        w = windows[0]
+    def test_row_counts_and_truth_roundtrip(self, scene_dir, ckpt, tmp_path):
+        w = eth_windows(scene_dir)[0]
         out = tmp_path / "plot.csv"
         rc = main(
-            ["export-plot", "--ckpt", str(ckpt), "--archive",
-             str(prep_dir / "test.npz"), "--window-id", w.window_id,
-             "--samples", "20", "--out", str(out)]
+            ["export-plot", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
+             "--window-id", w.window_id, "--samples", "20", "--out", str(out)]
         )
         assert rc == 0
         rows = list(csv.DictReader(out.open()))
@@ -538,149 +551,95 @@ class TestExportPlot:
         assert sum(r["kind"] == "observed" for r in rows) == n * 8
         assert sum(r["kind"] == "truth" for r in rows) == n * 12
         assert sum(r["kind"] == "sample" for r in rows) == n * 12 * 20
-        # truth rows reproduce archive positions bit-exactly
+        # truth rows reproduce the scene file's positions bit-exactly
         for r in rows:
             if r["kind"] == "truth":
                 i, t = int(r["ped_id"]), int(r["frame"])
                 assert float(r["x"]) == w.positions[i, t, 0]
                 assert float(r["y"]) == w.positions[i, t, 1]
 
-    def test_samples_zero_boundary(self, prep_dir, ckpt, tmp_path):
-        windows = load_windows(prep_dir / "test.npz")
+    def test_samples_zero_boundary(self, scene_dir, ckpt, tmp_path):
         out = tmp_path / "plot0.csv"
         rc = main(
-            ["export-plot", "--ckpt", str(ckpt), "--archive",
-             str(prep_dir / "test.npz"), "--window-id", windows[0].window_id,
-             "--samples", "0", "--out", str(out)]
+            ["export-plot", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
+             "--window-id", "eth:0", "--samples", "0", "--out", str(out)]
         )
         assert rc == 0
         kinds = {r["kind"] for r in csv.DictReader(out.open())}
         assert kinds == {"observed", "truth"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_overflowing_forward_exit_1(self, prep_dir, overflow_ckpt, tmp_path, capsys):
-        w = load_windows(prep_dir / "test.npz")[-1]
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning precedes the failure
+    def test_overflowing_forward_exit_1(self, scene_dir, overflow_ckpt, tmp_path, capsys):
+        w = eth_windows(scene_dir)[-1]
         rc = main(
-            ["export-plot", "--ckpt", str(overflow_ckpt), "--archive",
-             str(prep_dir / "test.npz"), "--window-id", w.window_id,
-             "--samples", "2", "--out", str(tmp_path / "x.csv")]
+            ["export-plot", "--ckpt", str(overflow_ckpt), "--scene-dir", str(scene_dir),
+             "--window-id", w.window_id, "--samples", "2", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"failure: window {w.window_id}: non-finite raw Gaussian parameters" in err
+        assert err == f"failure: window {w.window_id}: non-finite raw Gaussian parameters\n"
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_overflowing_sigma_exit_1(self, prep_dir, ckpt, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning precedes the failure
+    def test_overflowing_sigma_exit_1(self, scene_dir, ckpt, tmp_path, capsys):
         # finite raw outputs whose sigma = e^800 overflows: the samples are NaN
         params, extra = ModelParameters.load(ckpt)
         params["txp.out.b"].data[...] = 800.0
         big = tmp_path / "sigma.ckpt"
         params.save(big, extra_config=extra)
-        w = load_windows(prep_dir / "test.npz")[0]
         rc = main(
-            ["export-plot", "--ckpt", str(big), "--archive", str(prep_dir / "test.npz"),
-             "--window-id", w.window_id, "--samples", "2", "--out", str(tmp_path / "x.csv")]
+            ["export-plot", "--ckpt", str(big), "--scene-dir", str(scene_dir),
+             "--window-id", "eth:0", "--samples", "2", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"failure: window {w.window_id}: non-finite trajectory sample" in err
+        assert err == "failure: window eth:0: non-finite trajectory sample\n"
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize(
-        "window_horizons, ckpt_horizons",
-        [((8, 12), (8, 4)), ((8, 4), (8, 12)), ((5, 12), (8, 12))],
-        ids=["window-t_pred-longer", "window-t_pred-shorter", "t_obs"],
-    )
-    def test_horizon_mismatch_exit_2(self, tmp_path, rng, capsys, window_horizons,
-                                     ckpt_horizons):
-        ckpt = tmp_path / "m.ckpt"
-        ModelParameters(ModelConfig(*ckpt_horizons)).save(
-            ckpt, extra_config={"graph_config": GraphConfig().to_dict()}
-        )
-        archive = tmp_path / "w.npz"
-        w = random_window(rng, t_obs=window_horizons[0], t_pred=window_horizons[1])
-        save_windows(archive, [w])
-        out = tmp_path / "x.csv"
-        rc = main(
-            ["export-plot", "--ckpt", str(ckpt), "--archive", str(archive),
-             "--window-id", w.window_id, "--samples", "2", "--out", str(out)]
-        )
-        assert rc == 2
-        assert (f"{archive}: window {w.window_id} has t_obs={window_horizons[0]}, "
-                f"t_pred={window_horizons[1]}, but {ckpt} was trained with "
-                f"t_obs={ckpt_horizons[0]}, t_pred={ckpt_horizons[1]}"
-                in capsys.readouterr().err)
-        assert not out.exists()
 
-    def test_unknown_window_exit_2(self, prep_dir, ckpt, tmp_path):
-        rc = main(
-            ["export-plot", "--ckpt", str(ckpt), "--archive",
-             str(prep_dir / "test.npz"), "--window-id", "zzz:1",
-             "--samples", "1", "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc == 2
-
-    def test_faulty_archive_exit_2(self, ckpt, tmp_path, rng, capsys):
-        archive = tmp_path / "bad.npz"
-        w = _faulty(random_window(rng), "t_pred-past-arrays")
-        save_windows(archive, [w])
-        rc = main(
-            ["export-plot", "--ckpt", str(ckpt), "--archive", str(archive),
-             "--window-id", w.window_id, "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc == 2
-        assert f"{archive}: window 0: " in capsys.readouterr().err
-
-    def test_format_1_archive_exit_2(self, ckpt, tmp_path, rng, capsys):
-        archive = tmp_path / "old.npz"
-        w = random_window(rng)
-        write_format_1_archive(archive, w)
-        rc = main(
-            ["export-plot", "--ckpt", str(ckpt), "--archive", str(archive),
-             "--window-id", w.window_id, "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {archive}: archive format version 1, ")
-        assert "re-run `crowdgnn prep`" in err
-        assert not (tmp_path / "x.csv").exists()
+def assert_graphs_cut(out, scene_dir, scene, t_obs, t_pred):
+    """`out` holds one graph document per window of `scene` at these horizons."""
+    docs = sorted(out.glob("*.json"))
+    want = load_scene(scene_dir / f"{scene}.txt", t_obs, t_pred, 1)
+    assert len(docs) == len(want)
+    assert np.array(json.loads(docs[0].read_text())["adjacency"]).shape[0] == t_obs
 
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, scene_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t-obs": 6, "t-pred": 4, "held-out": "eth"}))
-        out = tmp_path / "prep"
+        cfg.write_text(json.dumps({"t-obs": 6, "t-pred": 4, "scene": "eth"}))
+        out = tmp_path / "graphs"
         rc = main(
-            ["prep", "--config", str(cfg), "--scene-dir", str(scene_dir),
+            ["dump-graph", "--config", str(cfg), "--scene-dir", str(scene_dir),
              "--t-pred", "5", "--out", str(out)]
         )
         assert rc == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config_echo"]["t_obs"] == 6
-        assert manifest["config_echo"]["t_pred"] == 5  # flag wins
+        assert_graphs_cut(out, scene_dir, "eth", 6, 5)  # the flag wins
 
-    def test_unknown_key_rejected(self, scene_dir, tmp_path):
+    def test_unknown_key_rejected(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus-key": 1}))
         rc = main(
-            ["prep", "--config", str(cfg), "--scene-dir", str(scene_dir),
-             "--held-out", "eth", "--out", str(tmp_path / "o")]
+            ["train", "--config", str(cfg), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--out", str(tmp_path / "m.ckpt")]
         )
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'bogus-key'\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
-    def test_one_file_serves_prep_and_train(self, scene_dir, tmp_path):
-        # "epochs" and "lr-switch-epoch" are train flags; prep skips them
+    def test_one_file_serves_train_and_dump_graph(self, scene_dir, tmp_path):
+        # "epochs", "lr-switch-epoch" and "held-out" are train flags;
+        # dump-graph skips them
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"epochs": 1, "lr-switch-epoch": 1, "held-out": "zara01",
+            {"epochs": 1, "lr-switch-epoch": 1, "held-out": "zara01", "t-obs": 6,
              "scene-dir": str(scene_dir)}
         ))
-        out = tmp_path / "prep"
-        assert main(["prep", "--config", str(cfg), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["held_out"] == "zara01"
+        out = tmp_path / "graphs"
+        assert main(["dump-graph", "--config", str(cfg), "--scene", "zara01",
+                     "--out", str(out)]) == 0
+        assert_graphs_cut(out, scene_dir, "zara01", 6, 12)
         hist = tmp_path / "hist.csv"
         rc = main(
             ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
@@ -726,38 +685,39 @@ class TestConfigFile:
         else:
             cfg.write_text(content)
         rc = main(
-            ["prep", "--config", str(cfg), "--scene-dir", str(scene_dir),
-             "--held-out", "eth", "--out", str(tmp_path / "o")]
+            ["train", "--config", str(cfg), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--out", str(tmp_path / "m.ckpt")]
         )
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: {cfg}: " in err
         assert message in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_config_equals_form(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"t-obs": 6, "held-out": "eth", "scene-dir": str(scene_dir)}
+            {"t-obs": 6, "scene": "eth", "scene-dir": str(scene_dir)}
         ))
-        out = tmp_path / "prep"
-        assert main(["prep", f"--config={cfg}", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config_echo"]["t_obs"] == 6
+        out = tmp_path / "graphs"
+        assert main(["dump-graph", f"--config={cfg}", "--out", str(out)]) == 0
+        assert_graphs_cut(out, scene_dir, "eth", 6, 12)
         cfg.write_text(json.dumps({"bogus-key": 1}))
-        assert main(["prep", f"--config={cfg}", "--out", str(tmp_path / "o")]) == 2
+        assert main(["dump-graph", f"--config={cfg}", "--out", str(tmp_path / "o")]) == 2
         assert f"{cfg}: unknown config key 'bogus-key'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("form", ["--conf", "--con="])
     def test_abbreviated_config_flag_exit_2(self, scene_dir, tmp_path, capsys, form):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus-key": 1}))
         flag = [form + str(cfg)] if form.endswith("=") else [form, str(cfg)]
-        out = tmp_path / "prep"
+        out = tmp_path / "m.ckpt"
         with pytest.raises(SystemExit) as exc:
-            main(flag + ["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
+            main(flag + ["train", "--scene-dir", str(scene_dir), "--held-out", "eth",
                          "--out", str(out)])
         assert exc.value.code == 2
-        assert not out.exists()  # prep did not run
+        assert not out.exists()  # train did not run
         assert "crowdgnn: error:" in capsys.readouterr().err
 
     def test_bare_config_flag_exit_2(self, capsys):
@@ -789,7 +749,7 @@ def test_sweep_held_out_scene_without_windows_exit_2(short_scene_dir, tmp_path,
          "--epochs", "1", "--out", str(out), "--quiet"]
     )
     assert rc == 2
-    assert "held-out scene 'short' has no 20-frame window" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: scene 'short' has no 20-frame window\n"
     assert calls == []
     assert not out.exists()
 
@@ -815,14 +775,15 @@ class TestSeedAndSamplesFlags:
         # every path but --out is missing: parsing must fail before it is read
         missing = str(out.parent / "missing")
         return {
-            "prep": ["prep", "--scene-dir", missing, "--held-out", "eth", "--out", str(out)],
+            "dump-graph": ["dump-graph", "--scene-dir", missing, "--scene", "eth",
+                           "--out", str(out)],
             "train": ["train", "--scene-dir", missing, "--held-out", "eth",
                       "--out", str(out)],
             "eval": ["eval", "--ckpt", missing, "--scene-dir", missing,
                      "--held-out", "eth", "--report", str(out)],
             "sweep": ["sweep", "--scene-dir", missing, "--held-out", "eth",
                       "--out", str(out)],
-            "export-plot": ["export-plot", "--ckpt", missing, "--archive", missing,
+            "export-plot": ["export-plot", "--ckpt", missing, "--scene-dir", missing,
                             "--window-id", "eth:0", "--out", str(out)],
         }[command]
 
@@ -832,7 +793,7 @@ class TestSeedAndSamplesFlags:
         assert exc.value.code == 2
         return capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["prep", "train", "eval", "sweep", "export-plot"])
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "export-plot"])
     @pytest.mark.parametrize("seed", ["-1", "-4294967296"])
     def test_negative_seed(self, command, seed, tmp_path, capsys):
         out = tmp_path / "out"
@@ -858,9 +819,9 @@ class TestSeedAndSamplesFlags:
 
     @pytest.mark.parametrize("command,flag,low", [
         (command, flag, low)
-        for flag, low, commands in [("--t-obs", 2, "prep train sweep"),
-                                    ("--t-pred", 1, "prep train sweep"),
-                                    ("--stride", 1, "prep train eval sweep")]
+        for flag, low, commands in [("--t-obs", 2, "dump-graph train sweep"),
+                                    ("--t-pred", 1, "dump-graph train sweep"),
+                                    ("--stride", 1, "train eval sweep")]
         for command in commands.split()
     ])
     def test_data_flags_below_minimum(self, command, flag, low, tmp_path, capsys):
@@ -880,5 +841,17 @@ class TestSeedAndSamplesFlags:
         # the checkpoint alone sets eval's horizons and graph
         out = tmp_path / "out"
         err = self.exit_2(self.argv("eval", out) + flag, capsys)
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("dump-graph", ["--stride", "2"]), ("export-plot", ["--stride", "2"]),
+        ("export-plot", ["--t-obs", "5"]), ("export-plot", ["--graph", "complete"]),
+    ])
+    def test_window_commands_reject_flags(self, command, flag, tmp_path, capsys):
+        # both cut at stride 1; export-plot takes its horizons and graph from
+        # the checkpoint
+        out = tmp_path / "out"
+        err = self.exit_2(self.argv(command, out) + flag, capsys)
         assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert not out.exists()

@@ -8,11 +8,12 @@ from crowdgnn.data import (
     RawTrack,
     TrajectoryParseError,
     TrajectoryWindow,
+    _scene_id_fault,
     leave_one_out_split,
-    load_windows,
+    load_scene,
+    load_scene_dir,
     make_windows,
     parse_trajectory_file,
-    save_windows,
 )
 from conftest import random_window
 
@@ -182,88 +183,29 @@ class TestSplit:
             leave_one_out_split(self.scenes(), "nope", 0.1, 0)
 
 
-def test_archive_roundtrip(tmp_path, rng):
-    windows = [random_window(rng, n_peds=k) for k in (2, 3, 5)]
-    path = tmp_path / "w.npz"
-    save_windows(path, windows)
-    back = load_windows(path)
-    assert len(back) == 3
-    for a, b in zip(windows, back):
-        assert a.window_id == b.window_id
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.displacements, b.displacements)
-        assert (a.t_obs, a.t_pred) == (b.t_obs, b.t_pred)
+class TestLoadScene:
+    def test_windows_of_the_file_keyed_by_stem(self, tmp_path):
+        tracks = linear_tracks(3, 30)
+        lines = [f"{r.frame_id} {r.ped_id} {float(r.x)!r} {float(r.y)!r}\n" for r in tracks]
+        path = write(tmp_path, "".join(lines), name="zara:01.txt")
+        got = load_scene(path, 8, 12, 2)
+        want = make_windows(tracks, 8, 12, 2, scene_id="zara:01")
+        assert [w.window_id for w in got] == [w.window_id for w in want]
+        assert all(np.array_equal(a.positions, b.positions) for a, b in zip(got, want))
+        assert [w.window_id for w in load_scene_dir(tmp_path, 8, 12, 2)["zara:01"]] == [
+            w.window_id for w in want]
+
+    def test_backslash_stem_names_file(self, tmp_path):
+        path = write(tmp_path, "0 1 0 0\n", name="a\\b.txt")
+        with pytest.raises(ValueError) as info:
+            load_scene(path, 8, 12, 1)
+        assert str(info.value) == f"{path}: scene id 'a\\\\b' holds a path separator or NUL"
+        with pytest.raises(ValueError):
+            load_scene_dir(tmp_path)
 
 
-
-# archive fault -> what the error message says
-ARCHIVE_FAULTS = {
-    "t_obs=1": "need t_obs >= 2",
-    "t_pred=0": "need t_obs >= 2 and t_pred >= 1",
-    "nan-position": "non-finite positions",
-    "t_pred-past-arrays": "positions of shape",
-    "one-pedestrian": "N >= 2",
-    "2-d-positions": "positions of shape",
-    "text-positions": "positions of dtype",
-    "scene-id-slash": "scene id '../escaped' holds a path separator or NUL",
-    "scene-id-backslash": "scene id '..\\\\escaped' holds a path separator or NUL",
-    "scene-id-nul": "scene id 'a\\x00b' holds a path separator or NUL",
-}
-
-
-def _faulty(w, fault):
-    """`w` with one archive fault."""
-    pos, scene_id = w.positions.copy(), w.scene_id
-    t_obs, t_pred = w.t_obs, w.t_pred
-    if fault == "t_obs=1":
-        t_obs, t_pred = 1, t_obs + t_pred - 1
-    elif fault == "t_pred=0":
-        t_obs, t_pred = t_obs + t_pred, 0
-    elif fault == "nan-position":
-        pos[0, 3, 1] = np.nan
-    elif fault == "t_pred-past-arrays":
-        t_pred = 30
-    elif fault == "one-pedestrian":
-        pos = pos[:1]
-    elif fault == "2-d-positions":
-        pos = pos[..., 0]
-    elif fault == "scene-id-slash":
-        scene_id = "../escaped"
-    elif fault == "scene-id-backslash":
-        scene_id = "..\\escaped"
-    elif fault == "scene-id-nul":
-        scene_id = "a\0b"
-    faulty = TrajectoryWindow(scene_id, 9, pos, t_obs, t_pred)
-    if fault == "text-positions":  # numbers only get differenced
-        faulty.positions = pos.astype(str)
-    return faulty
-
-
-@pytest.mark.parametrize("fault", sorted(ARCHIVE_FAULTS))
-def test_archive_fault_names_archive_and_window(tmp_path, rng, fault):
-    good = random_window(rng, n_peds=3)
-    path = tmp_path / "w.npz"
-    save_windows(path, [good, _faulty(random_window(rng, n_peds=3), fault)])
-    with pytest.raises(ValueError, match="window 1: ") as info:
-        load_windows(path)
-    assert str(path) in str(info.value)
-    assert ARCHIVE_FAULTS[fault] in str(info.value)
-
-
-def test_archive_holds_positions_only(tmp_path, rng):
-    path = tmp_path / "w.npz"
-    save_windows(path, [random_window(rng)])
-    with np.load(path) as z:
-        assert sorted(z.files) == [
-            "format_version", "n_windows", "w0_meta", "w0_positions", "w0_scene"
-        ]
-        assert int(z["format_version"]) == 2
-
-
-def write_format_1_archive(path, w):
-    """`w` as the format-1 archive that also stored its displacements."""
-    np.savez(
-        path, format_version=np.array(1), n_windows=np.array(1),
-        w0_positions=w.positions, w0_meta=np.array([w.start_frame, w.t_obs, w.t_pred]),
-        w0_scene=np.array(w.scene_id), w0_disp=w.displacements,
-    )
+@pytest.mark.parametrize("scene_id", ["../escaped", "..\\escaped", "a\0b"])
+def test_scene_id_fault(scene_id):
+    assert _scene_id_fault(scene_id) == (
+        f"scene id {scene_id!r} holds a path separator or NUL")
+    assert _scene_id_fault("zara:01") is None

@@ -159,6 +159,7 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(split, GraphConfig(), TrainConfig(epochs=1, lr_switch_epoch=1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_nonfinite_loss_aborts_with_location(self, rng):
         split = tiny_split(rng, n_train=2, n_val=0)
         # a parameter blowup via absurd learning rate triggers the diagnostic
