@@ -56,12 +56,12 @@ def simulate_scene(name: str, n_frames: int, rng: np.random.Generator) -> list[t
     return rows
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("data/synthetic"))
     ap.add_argument("--frames", type=int, default=900, help="frames per scene")
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
     for i, name in enumerate(SCENES):

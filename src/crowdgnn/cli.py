@@ -132,6 +132,20 @@ def _scene_dir(args) -> Path:
     return scene_dir
 
 
+def _check_out_paths(args, *flags: str) -> None:
+    """Refuse, before any work, an output file path that is a directory or
+    whose directory is missing: the file is written only once the work is done."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        path = Path(value)
+        if not path.parent.is_dir():
+            raise UsageError(f"{flag}: directory not found: {path.parent}")
+        if path.is_dir():
+            raise UsageError(f"{flag}: is a directory: {path}")
+
+
 def _require_windows(windows: list, scene: str, t_total: int) -> list:
     if not windows:  # fail before anything is trained, evaluated or written
         raise UsageError(f"scene {scene!r} has no {t_total}-frame window")
@@ -216,6 +230,7 @@ def cmd_dump_graph(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_paths(args, "--out", "--history")
     _, split = _load_split(args)
     graph_cfg = _graph_cfg(args)
     train_cfg = _train_cfg(args)
@@ -239,6 +254,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_paths(args, "--report")
     params, graph_cfg, extra = _load_checkpoint(args.ckpt)
     test = _load_scene(args, args.held_out, params.cfg.t_obs, params.cfg.t_pred,
                        args.stride)
@@ -273,6 +289,7 @@ SWEEP_GRID = [("social-stgcnn-baseline", social_stgcnn_baseline_config())] + [
 
 
 def cmd_sweep(args) -> int:
+    _check_out_paths(args, "--out")
     if not 0 < args.subsample <= 1:  # NaN too
         raise UsageError(f"--subsample must be in (0, 1], got {args.subsample}")
     _, split = _load_split(args)
@@ -311,6 +328,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
+    _check_out_paths(args, "--out")
     params, graph_cfg, _ = _load_checkpoint(args.ckpt)
     # stride 1 reaches every start frame
     scene = _window_scene(args.window_id)

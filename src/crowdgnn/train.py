@@ -50,8 +50,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0:  # NaN too
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if not (0 < self.lr_after <= self.lr_initial):
-            raise ValueError("require 0 < lr_after <= lr_initial")
+        if not (0 < self.lr_after <= self.lr_initial < float("inf")):  # NaN too
+            raise ValueError(
+                f"require finite 0 < lr_after <= lr_initial, got lr_after={self.lr_after}, "
+                f"lr_initial={self.lr_initial}")
         if not (1 <= self.lr_switch_epoch <= self.epochs):
             raise ValueError("lr_switch_epoch must be in [1, epochs]")
 

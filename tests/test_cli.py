@@ -11,6 +11,7 @@ from crowdgnn.data import load_scene, load_scene_dir
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
 from crowdgnn.model import ModelParameters
 from test_model import rewrite_header
+from test_smoke import strict_json
 
 
 @pytest.fixture(scope="module")
@@ -157,29 +158,36 @@ def window_id_argv(command, scene_dir, ckpt, window_id, out):
 
 
 class TestDumpGraph:
-    def test_documents_written(self, scene_dir, tmp_path):
+    @pytest.mark.parametrize("flags, cfg", [
+        (["--graph", "view-thresh", "--kernel", "exp"],
+         GraphConfig(neighborhood="view-thresh", kernel="exp")),
+        (["--graph", "view-approach", "--kernel", "exp"],
+         GraphConfig(neighborhood="view-approach", kernel="exp")),
+        (["--graph", "complete", "--self-loops", "--normalization", "sym-adj"],
+         GraphConfig(neighborhood="complete", self_loops=True, normalization="sym-adj")),
+    ], ids=["view-thresh-exp", "view-approach-exp", "complete-self-loops-sym-adj"])
+    def test_documents_written(self, scene_dir, tmp_path, flags, cfg):
         out = tmp_path / "graphs"
         rc = main(
-            ["dump-graph", "--scene-dir", str(scene_dir), "--scene", "eth",
-             "--graph", "view-thresh", "--kernel", "exp", "--out", str(out)]
+            ["dump-graph", "--scene-dir", str(scene_dir), "--scene", "eth", *flags,
+             "--out", str(out)]
         )
         assert rc == 0
         windows = eth_windows(scene_dir)
         docs = sorted(out.glob("*.json"))
         assert sorted(p.name for p in docs) == sorted(
             w.window_id.replace(":", "_") + ".json" for w in windows)
-        doc = json.loads(docs[0].read_text())
-        assert doc["config_echo"]["neighborhood"] == "view-thresh"
-        assert doc["config_echo"]["kernel"] == "exp"
-        adj = np.array(doc["adjacency"])
-        assert adj.shape[0] == 8  # observed frames
-        assert np.allclose(adj, np.transpose(adj, (0, 2, 1)))
-        (w,) = [w for w in windows if w.window_id == doc["window_id"]]
-        cfg = GraphConfig(neighborhood="view-thresh", kernel="exp")
-        want = graph_adjacency(w, cfg)
-        assert np.array_equal(adj, want)
-        assert np.array_equal(doc["degree"], want.sum(axis=2))
-        assert np.array_equal(doc["normalized"], build_graph_sequence(w, cfg))
+        for path in docs:
+            doc = json.loads(path.read_text())
+            assert doc["config_echo"] == cfg.to_dict()
+            adj = np.array(doc["adjacency"])
+            assert adj.shape[0] == 8  # observed frames
+            assert np.allclose(adj, np.transpose(adj, (0, 2, 1)))
+            (w,) = [w for w in windows if w.window_id == doc["window_id"]]
+            want = graph_adjacency(w, cfg)
+            assert np.array_equal(adj, want)
+            assert np.array_equal(doc["degree"], want.sum(axis=2))
+            assert np.array_equal(doc["normalized"], build_graph_sequence(w, cfg))
 
     def test_window_id_selects_one_document(self, scene_dir, tmp_path):
         out = tmp_path / "graphs"
@@ -290,7 +298,7 @@ class TestTrainEval:
              "--independent-min", "--report", str(report)]
         )
         assert rc == 0
-        echo = json.loads(report.read_text())["config_echo"]
+        echo = strict_json(report.read_text())["config_echo"]
         assert {k: echo[k] for k in ("t_obs", "t_pred", "stride", "independent_min")} == {
             "t_obs": 8, "t_pred": 12, "stride": 3, "independent_min": True}
 
@@ -309,13 +317,14 @@ class TestTrainEval:
         reports = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
-            main(
+            rc = main(
                 ["eval", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
                  "--held-out", "eth", "--samples", "3", "--seed", "1",
                  "--report", str(path)]
             )
-            reports.append(json.loads(path.read_text()))
-        assert reports[0]["aggregate"] == reports[1]["aggregate"]
+            assert rc == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_earlier_checkpoint_header(self, scene_dir, ckpt, tmp_path, capsys):
         # headers written before the architecture was fixed stored its
@@ -512,16 +521,20 @@ class TestTrainEval:
         assert err.count("\n") == 1
 
     def test_invalid_train_config_exit_2(self, scene_dir, tmp_path, capsys):
-        for flag, value in (("--batch", "0"), ("--clip-norm", "-1")):
+        for flags in (["--batch", "0"], ["--clip-norm", "-1"], ["--lr-initial", "inf"],
+                      ["--lr-initial", "inf", "--lr-after", "inf"], ["--lr-initial", "nan"],
+                      ["--lr-after", "nan"]):
             rc = main(
                 ["train", "--scene-dir", str(scene_dir), "--held-out", "eth",
-                 "--epochs", "1", "--lr-switch-epoch", "1", flag, value,
+                 "--epochs", "1", "--lr-switch-epoch", "1", *flags,
                  "--out", str(tmp_path / "m.ckpt"), "--quiet"]
             )
             assert rc == 2
         err = capsys.readouterr().err
         assert "batch_size must be >= 1" in err
         assert "clip_norm must be positive" in err
+        assert err.count("require finite 0 < lr_after <= lr_initial") == 4
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_history_csv_written(self, scene_dir, tmp_path):
         out = tmp_path / "m.ckpt"
@@ -651,19 +664,25 @@ class TestConfigFile:
     def test_one_file_serves_train_and_eval(self, scene_dir, tmp_path):
         # graph and horizon keys are train flags; eval skips them and takes
         # both from the checkpoint
+        keys = {"graph": "view-approach", "kernel": "exp", "t-obs": 6, "t-pred": 4,
+                "epochs": 1, "batch": 16, "lr-switch-epoch": 1, "held-out": "eth",
+                "scene-dir": str(scene_dir)}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"graph": "view-approach", "kernel": "exp", "t-obs": 6, "t-pred": 4,
-             "epochs": 1, "batch": 16, "lr-switch-epoch": 1, "held-out": "eth",
-             "scene-dir": str(scene_dir)}
-        ))
+        cfg.write_text(json.dumps(keys))
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(cfg), "--out", str(ckpt), "--quiet"]) == 0
         report = tmp_path / "r.json"
         rc = main(["eval", "--config", str(cfg), "--ckpt", str(ckpt), "--samples", "2",
                    "--report", str(report)])
         assert rc == 0
-        doc = json.loads(report.read_text())
+        # the same bytes as from flags alone
+        flags = [tok for key, value in keys.items() for tok in (f"--{key}", str(value))]
+        assert main(["train", *flags, "--out", str(tmp_path / "f.ckpt"), "--quiet"]) == 0
+        assert (tmp_path / "f.ckpt").read_bytes() == ckpt.read_bytes()
+        assert main(["eval", "--scene-dir", str(scene_dir), "--held-out", "eth", "--ckpt",
+                     str(ckpt), "--samples", "2", "--report", str(tmp_path / "f.json")]) == 0
+        assert (tmp_path / "f.json").read_bytes() == report.read_bytes()
+        doc = strict_json(report.read_text())
         assert doc["config_echo"]["graph_config"]["neighborhood"] == "view-approach"
         assert doc["config_echo"]["graph_config"]["kernel"] == "exp"
         assert (doc["config_echo"]["t_obs"], doc["config_echo"]["t_pred"]) == (6, 4)
@@ -737,6 +756,7 @@ def test_sweep_small(scene_dir, tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["method", "kernel", "zara01_ade", "zara01_fde"]
     assert len(rows) == 10  # baseline + 4 neighborhoods x 2 kernels
+    assert np.all(np.isfinite(np.array([r[2:] for r in rows[1:]], dtype=float)))
 
 
 def test_sweep_held_out_scene_without_windows_exit_2(short_scene_dir, tmp_path,
@@ -764,6 +784,37 @@ def test_sweep_subsample_out_of_range_exit_2(scene_dir, tmp_path, value, capsys)
     assert rc == 2
     assert f"--subsample must be in (0, 1], got {float(value)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["missing-parent", "directory"])
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--history"), ("eval", "--report"), ("sweep", "--out"),
+    ("export-plot", "--out"),
+])
+def test_bad_output_path_exit_2_before_work(scene_dir, ckpt, tmp_path, monkeypatch, capsys,
+                                            command, flag, directory):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for name in ("train", "evaluate", "predict_gaussians"):
+        monkeypatch.setattr(cli_mod, name, work)
+    data = ["--scene-dir", str(scene_dir)]
+    argv = {
+        "train": ["train", *data, "--held-out", "eth", "--epochs", "1",
+                  "--out", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")],
+        "eval": ["eval", *data, "--ckpt", str(ckpt), "--held-out", "eth",
+                 "--report", str(tmp_path / "r.json")],
+        "sweep": ["sweep", *data, "--held-out", "eth", "--epochs", "1",
+                  "--out", str(tmp_path / "s.csv")],
+        "export-plot": ["export-plot", *data, "--ckpt", str(ckpt), "--window-id", "eth:0",
+                        "--out", str(tmp_path / "p.csv")],
+    }[command]
+    bad = tmp_path if directory else tmp_path / "missing" / "out"
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {flag}: is a directory: {bad}\n" if directory
+                                       else f"error: {flag}: directory not found: {bad.parent}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSeedAndSamplesFlags:

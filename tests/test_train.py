@@ -56,6 +56,10 @@ class TestSchedule:
         for clip_norm in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="clip_norm"):
                 TrainConfig(clip_norm=clip_norm)
+        inf, nan = float("inf"), float("nan")
+        for lr_initial, lr_after in ((inf, 0.002), (inf, inf), (nan, 0.002), (0.01, nan)):
+            with pytest.raises(ValueError, match="require finite 0 < lr_after <= lr_initial"):
+                TrainConfig(lr_initial=lr_initial, lr_after=lr_after)
 
 
 class TestSgdStep:
