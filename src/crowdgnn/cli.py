@@ -1,8 +1,8 @@
 """Command-line entry point: dump-graph, train, eval, sweep, export-plot.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/input error. The default
-scene directory can be set with the CROWDGNN_DATA_DIR environment variable;
-a JSON config file (--config) provides flag defaults, flags override it.
+Exit codes: 0 success, 2 bad input (`data.InputError`), 1 anything else.
+The default scene directory can be set with the CROWDGNN_DATA_DIR environment
+variable; a JSON config file (--config) provides flag defaults, flags override it.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .data import DatasetSplit, leave_one_out_split, load_scene_dir
+from .data import DatasetSplit, InputError, leave_one_out_split, load_scene_dir
 from .evaluate import (
     PredictionDiverged, evaluate, predict_gaussians, sample_generators, sample_trajectory,
 )
@@ -32,10 +32,6 @@ from .graphs import (
 )
 from .model import ModelConfig, ModelParameters
 from .train import TrainConfig, train, write_history_csv
-
-
-class UsageError(Exception):
-    pass
 
 
 def _int_at_least(low: int):
@@ -125,10 +121,10 @@ def _train_cfg(args) -> TrainConfig:
 
 def _scene_dir(args) -> Path:
     if not args.scene_dir:
-        raise UsageError("--scene-dir (or CROWDGNN_DATA_DIR) is required")
+        raise InputError("--scene-dir (or CROWDGNN_DATA_DIR) is required")
     scene_dir = Path(args.scene_dir)
     if not scene_dir.is_dir():
-        raise UsageError(f"scene directory not found: {scene_dir}")
+        raise InputError(f"scene directory not found: {scene_dir}")
     return scene_dir
 
 
@@ -141,14 +137,14 @@ def _check_out_paths(args, *flags: str) -> None:
             continue
         path = Path(value)
         if not path.parent.is_dir():
-            raise UsageError(f"{flag}: directory not found: {path.parent}")
+            raise InputError(f"{flag}: directory not found: {path.parent}")
         if path.is_dir():
-            raise UsageError(f"{flag}: is a directory: {path}")
+            raise InputError(f"{flag}: is a directory: {path}")
 
 
 def _require_windows(windows: list, scene: str, t_total: int) -> list:
     if not windows:  # fail before anything is trained, evaluated or written
-        raise UsageError(f"scene {scene!r} has no {t_total}-frame window")
+        raise InputError(f"scene {scene!r} has no {t_total}-frame window")
     return windows
 
 
@@ -158,7 +154,7 @@ def _load_split(args) -> tuple[dict, DatasetSplit]:
         _scene_dir(args), t_obs=args.t_obs, t_pred=args.t_pred, stride=args.stride
     )
     if not scenes:
-        raise UsageError("no scene files")
+        raise InputError("no scene files")
     split = leave_one_out_split(
         scenes, args.held_out, val_fraction=args.val_fraction, seed=args.seed
     )
@@ -170,7 +166,7 @@ def _load_scene(args, scene: str, t_obs: int, t_pred: int, stride: int) -> list:
     scene_dir = _scene_dir(args)
     path = scene_dir / f"{scene}.txt"
     if path.parent != scene_dir or not path.is_file():
-        raise UsageError(f"scene file not found: {path}")
+        raise InputError(f"scene file not found: {path}")
     windows = data_mod.load_scene(path, t_obs, t_pred, stride)
     return _require_windows(windows, scene, t_obs + t_pred)
 
@@ -179,9 +175,9 @@ def _window_scene(window_id: str) -> str:
     """The scene of a `<scene>:<start frame>` window id (a scene id may hold ':')."""
     scene, _, start = window_id.rpartition(":")
     if not scene or not start.isdigit():
-        raise UsageError(f"malformed window id {window_id!r}: want <scene>:<start frame>")
+        raise InputError(f"malformed window id {window_id!r}: want <scene>:<start frame>")
     if (fault := data_mod._scene_id_fault(scene)) is not None:
-        raise UsageError(f"window id {window_id!r}: {fault}")
+        raise InputError(f"window id {window_id!r}: {fault}")
     return scene
 
 
@@ -189,29 +185,32 @@ def _find_window(windows: list, window_id: str):
     for w in windows:
         if w.window_id == window_id:
             return w
-    raise UsageError(f"unknown window id {window_id!r}")
+    raise InputError(f"unknown window id {window_id!r}")
 
 
 def _load_checkpoint(path) -> tuple[ModelParameters, GraphConfig, dict]:
     """(parameters, stored graph config, extra config) of a checkpoint."""
     params, extra = ModelParameters.load(path)
     if "graph_config" not in extra:
-        raise UsageError(f"{path}: checkpoint stores no graph config")
+        raise InputError(f"{path}: checkpoint stores no graph config")
     try:
         return params, GraphConfig(**extra["graph_config"]), extra
     except (TypeError, ValueError) as exc:  # e.g. an unknown enum value
-        raise ValueError(f"{path}: invalid graph_config: {exc}") from None
+        raise InputError(f"{path}: invalid graph_config: {exc}") from None
 
 
 # ---- subcommands ------------------------------------------------------------
 
 
 def cmd_dump_graph(args) -> int:
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():  # mkdir below would fail once the scene is cut
+        raise InputError(f"--out: not a directory: {existing}")
     windows = _load_scene(args, args.scene, args.t_obs, args.t_pred, stride=1)
     if args.window_id is not None:
         windows = [_find_window(windows, args.window_id)]
     cfg = _graph_cfg(args)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for w in windows:
         adjacency = graph_adjacency(w, cfg)
@@ -291,7 +290,7 @@ SWEEP_GRID = [("social-stgcnn-baseline", social_stgcnn_baseline_config())] + [
 def cmd_sweep(args) -> int:
     _check_out_paths(args, "--out")
     if not 0 < args.subsample <= 1:  # NaN too
-        raise UsageError(f"--subsample must be in (0, 1], got {args.subsample}")
+        raise InputError(f"--subsample must be in (0, 1], got {args.subsample}")
     _, split = _load_split(args)
     _require_windows(split.test, args.held_out, args.t_obs + args.t_pred)
     if args.subsample < 1.0:
@@ -455,30 +454,35 @@ def _apply_config_file(commands: dict[str, _FlagParser], argv: list[str]) -> lis
     if inline:
         rest = argv[:i] + argv[i + 1 :]
     elif i + 1 == len(argv):
-        raise UsageError("--config needs a JSON file path")
+        raise InputError("--config needs a JSON file path")
     else:
         path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # e.g. a directory, bad UTF-8 or JSON
-        raise UsageError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
+        raise InputError(f"{path}: config must be a JSON object")
     known = set().union(*(p.flags for p in commands.values()))
     flags = {}
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
         if flag not in known:
-            raise UsageError(f"{path}: unknown config key {key!r}")
+            raise InputError(f"{path}: unknown config key {key!r}")
+        if value is None or isinstance(value, (list, dict)):
+            raise InputError(f"{path}: config key {key!r} needs a number, string or bool, "
+                             f"got {json.dumps(value)}")
         flags[flag] = value
     # the subcommand is the first token that is not a flag
     j = next((j for j, tok in enumerate(rest) if not tok.startswith("-")), None)
     if j is None or rest[j] not in commands:
         return rest  # argparse reports the missing or unknown subcommand
+    # right after the subcommand, so a command-line flag, in either spelling,
+    # comes later and wins; an invalid config value still exits 2
     extra = []
     for flag, value in flags.items():
-        if flag not in commands[rest[j]].flags or flag in rest:
+        if flag not in commands[rest[j]].flags:
             continue
         if isinstance(value, bool):
             if value:
@@ -498,11 +502,10 @@ def main(argv=None) -> int:
         # point warnings would only print ahead of that one line
         with np.errstate(all="ignore"):
             return args.func(args)
-    # TrajectoryParseError is a ValueError
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure
+    except Exception as exc:  # a diverged model or a program fault
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

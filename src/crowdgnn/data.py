@@ -20,8 +20,8 @@ import numpy as np
 MAX_COORDINATE = 1e6
 
 
-class TrajectoryParseError(ValueError):
-    pass
+class InputError(ValueError):
+    """Bad outside input (a flag, config, scene file or checkpoint): exit 2."""
 
 
 class RawTrack(NamedTuple):
@@ -68,47 +68,47 @@ class DatasetSplit:
 
 def parse_trajectory_file(path) -> list[RawTrack]:
     """Parse one scene file into records sorted by (frame_id, ped_id)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # e.g. a directory named x.txt
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
     tracks = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TrajectoryParseError(f"{path}: {exc}") from None
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise TrajectoryParseError(
-                    f"{path}:{lineno}: expected 4 fields, got {len(parts)}"
-                )
-            try:
-                frame_f, ped_f = float(parts[0]), float(parts[1])
-                x, y = float(parts[2]), float(parts[3])
-                frame_id, ped_id = int(frame_f), int(ped_f)
-            except (ValueError, OverflowError) as exc:  # int(inf) overflows
-                raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from exc
-            if frame_id != frame_f or ped_id != ped_f:  # "780.0" is fine, "10.5" is not
-                raise TrajectoryParseError(f"{path}:{lineno}: non-integral id in {line!r}")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise TrajectoryParseError(
-                    f"{path}:{lineno}: non-finite coordinate ({parts[2]}, {parts[3]})"
-                )
-            if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
-                raise TrajectoryParseError(
-                    f"{path}:{lineno}: coordinate ({parts[2]}, {parts[3]}) is beyond "
-                    f"{MAX_COORDINATE:g} m in magnitude"
-                )
-            key = (frame_id, ped_id)
-            if key in seen:
-                raise TrajectoryParseError(
-                    f"{path}:{lineno}: duplicate record for frame {frame_id}, "
-                    f"pedestrian {ped_id}"
-                )
-            seen.add(key)
-            tracks.append(RawTrack(frame_id, ped_id, x, y))
+            frame_f, ped_f = float(parts[0]), float(parts[1])
+            x, y = float(parts[2]), float(parts[3])
+            frame_id, ped_id = int(frame_f), int(ped_f)
+        except (ValueError, OverflowError) as exc:  # int(inf) overflows
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if frame_id != frame_f or ped_id != ped_f:  # "780.0" is fine, "10.5" is not
+            raise InputError(f"{path}:{lineno}: non-integral id in {line!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InputError(
+                f"{path}:{lineno}: non-finite coordinate ({parts[2]}, {parts[3]})"
+            )
+        if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
+            raise InputError(
+                f"{path}:{lineno}: coordinate ({parts[2]}, {parts[3]}) is beyond "
+                f"{MAX_COORDINATE:g} m in magnitude"
+            )
+        key = (frame_id, ped_id)
+        if key in seen:
+            raise InputError(
+                f"{path}:{lineno}: duplicate record for frame {frame_id}, "
+                f"pedestrian {ped_id}"
+            )
+        seen.add(key)
+        tracks.append(RawTrack(frame_id, ped_id, x, y))
     tracks.sort()  # (frame, ped) is unique, so x and y are never compared
     return tracks
 
@@ -175,9 +175,9 @@ def leave_one_out_split(
 ) -> DatasetSplit:
     """Test on `held_out`, shuffle the rest deterministically into train/val."""
     if held_out not in scenes:
-        raise ValueError(f"unknown scene {held_out!r}; have {sorted(scenes)}")
+        raise InputError(f"unknown scene {held_out!r}; have {sorted(scenes)}")
     if not (0 <= val_fraction < 1):
-        raise ValueError("val_fraction must be in [0, 1)")
+        raise InputError("val_fraction must be in [0, 1)")
     test = list(scenes[held_out])
     rest = []
     for name in sorted(scenes):
@@ -203,7 +203,7 @@ def load_scene(path, t_obs: int, t_pred: int, stride: int) -> list[TrajectoryWin
     """The windows of one scene file, whose stem is their scene id."""
     path = Path(path)
     if (fault := _scene_id_fault(path.stem)) is not None:
-        raise ValueError(f"{path}: {fault}")
+        raise InputError(f"{path}: {fault}")
     tracks = parse_trajectory_file(path)
     return make_windows(tracks, t_obs, t_pred, stride, scene_id=path.stem)
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import TrajectoryWindow
+from .data import InputError, TrajectoryWindow
 
 # most entries in one pairwise float temporary of `graph_adjacency` (0.5 MB):
 # two whole [T_obs, N, N] ones (2.56 MB each at N=200) took an evaluation
@@ -63,9 +63,9 @@ class GraphConfig:
         # bool is an int subclass, so JSON true would pass as a number
         if (isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float))
                 or not self.epsilon > 0):  # also rejects NaN
-            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
+            raise InputError(f"epsilon must be a positive number, got {self.epsilon!r}")
         if not isinstance(self.self_loops, bool):
-            raise ValueError(f"self_loops must be a bool, got {self.self_loops!r}")
+            raise InputError(f"self_loops must be a bool, got {self.self_loops!r}")
 
     def to_dict(self) -> dict:
         return {k: v.value if isinstance(v, Enum) else v for k, v in self.__dict__.items()}

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .autodiff import Var
+from .data import InputError
 from .graphs import GraphConfig, build_graph_sequence
 
 CHECKPOINT_MAGIC = b"CGNN"
@@ -170,52 +171,56 @@ class ModelParameters:
         """Parameters and extra config of a checkpoint, checked against the
         fixed architecture: the header's model_config holds exactly the
         horizons t_obs and t_pred."""
-        with open(path, "rb") as fh:
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:  # e.g. a missing file or a directory
+            raise InputError(f"{path}: {exc.strerror}") from None
+        with fh:
             if fh.read(4) != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path}: not a checkpoint file")
+                raise InputError(f"{path}: not a checkpoint file")
             try:
                 (hlen,) = struct.unpack("<I", fh.read(4))
                 header = json.loads(fh.read(hlen).decode("utf-8"))
             except (struct.error, ValueError) as exc:  # JSON and UTF-8 errors
-                raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
+                raise InputError(f"{path}: unreadable checkpoint header: {exc}") from exc
             if not (isinstance(header, dict) and "format_version" in header
                     and isinstance(header.get("extra_config"), dict)
                     and isinstance(header.get("tensors"), list)):
-                raise ValueError(f"{path}: checkpoint header needs a format_version, "
+                raise InputError(f"{path}: checkpoint header needs a format_version, "
                                  "an extra_config object and a tensors list")
             if not _same(header["format_version"], CHECKPOINT_VERSION):
-                raise ValueError(
+                raise InputError(
                     f"{path}: unsupported checkpoint version {header['format_version']}"
                 )
             payload = fh.read()
         stored = header.get("model_config")
         if not isinstance(stored, dict):
-            raise ValueError(f"{path}: model_config must be an object, got {stored!r}")
+            raise InputError(f"{path}: model_config must be an object, got {stored!r}")
         odd = [key for key in stored if key not in ("t_obs", "t_pred")]
         if odd:
-            raise ValueError(f"{path}: unknown model_config key {odd[0]!r}")
+            raise InputError(f"{path}: unknown model_config key {odd[0]!r}")
         t_obs, t_pred = stored.get("t_obs"), stored.get("t_pred")  # None if absent
         # bool is an int subclass, so JSON true would pass isinstance(..., int)
         if not (type(t_obs) is type(t_pred) is int and t_obs >= 2 and t_pred >= 1):
-            raise ValueError(f"{path}: model_config needs integers t_obs >= 2 and "
+            raise InputError(f"{path}: model_config needs integers t_obs >= 2 and "
                              f"t_pred >= 1, got {t_obs!r} and {t_pred!r}")
         params = cls(ModelConfig(t_obs, t_pred))
         want = _tensor_table((name, v.data.shape) for name, v in params.items())
         for got_entry, want_entry in zip_longest(header["tensors"], want):
             if not _same(got_entry, want_entry):
-                raise ValueError(
+                raise InputError(
                     f"{path}: tensor table entry {got_entry} does not match "
                     f"the model's {want_entry}"
                 )
         if len(payload) != params.theta.nbytes:
-            raise ValueError(
+            raise InputError(
                 f"{path}: payload holds {len(payload)} bytes, the tensor table "
                 f"needs {params.theta.nbytes}"
             )
         params.theta[...] = np.frombuffer(payload, dtype="<f8")
         for name, v in params.items():
             if not np.all(np.isfinite(v.data)):
-                raise ValueError(f"{path}: tensor {name} holds non-finite values")
+                raise InputError(f"{path}: tensor {name} holds non-finite values")
         return params, header["extra_config"]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit
+from .data import DatasetSplit, InputError
 from .gaussian import constrain, mean_nll, nll
 from .graphs import GraphConfig, build_graph_sequence
 from .model import (
@@ -45,17 +45,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise InputError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InputError("batch_size must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0:  # NaN too
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+            raise InputError(f"clip_norm must be positive, got {self.clip_norm}")
         if not (0 < self.lr_after <= self.lr_initial < float("inf")):  # NaN too
-            raise ValueError(
+            raise InputError(
                 f"require finite 0 < lr_after <= lr_initial, got lr_after={self.lr_after}, "
                 f"lr_initial={self.lr_initial}")
         if not (1 <= self.lr_switch_epoch <= self.epochs):
-            raise ValueError("lr_switch_epoch must be in [1, epochs]")
+            raise InputError("lr_switch_epoch must be in [1, epochs]")
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index."""
@@ -161,7 +161,7 @@ def train(
     validation set is empty) and the per-epoch loss history.
     """
     if not split.train:
-        raise ValueError("training split is empty")
+        raise InputError("training split is empty")
     model_cfg = model_cfg or ModelConfig()
     params = ModelParameters(model_cfg, seed=cfg.seed)
     history: list[EpochRecord] = []

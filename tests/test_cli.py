@@ -138,6 +138,32 @@ class TestSceneFiles:
         assert rc == 1
         assert capsys.readouterr().err == "failure: 'adjacency'\n"
 
+    def test_value_error_is_a_runtime_failure(self, scene_dir, tmp_path, capsys,
+                                              monkeypatch):
+        # only an InputError is bad input; a ValueError from inside is a fault
+        def fault(*args, **kwargs):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(cli_mod, "graph_adjacency", fault)
+        rc = main(
+            ["dump-graph", "--scene-dir", str(scene_dir), "--scene", "eth",
+             "--out", str(tmp_path / "g")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "failure: shape mismatch\n"
+
+    def test_directory_named_like_a_scene_file_exit_2(self, scene_dir, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(scene_dir, scenes)
+        (scenes / "x.txt").mkdir()
+        out = tmp_path / "m.ckpt"
+        rc = main(
+            ["train", "--scene-dir", str(scenes), "--held-out", "eth", "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {scenes / 'x.txt'}: Is a directory\n"
+        assert not out.exists()
+
     def test_prep_is_gone(self, scene_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["prep", "--scene-dir", str(scene_dir), "--held-out", "eth",
@@ -508,6 +534,25 @@ class TestTrainEval:
         assert f"error: {bad}: checkpoint stores no graph config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-plot"])
+    @pytest.mark.parametrize("kind, message", [("directory", "Is a directory"),
+                                               ("missing", "No such file or directory")])
+    def test_unreadable_checkpoint_exit_2(self, scene_dir, tmp_path, capsys, command,
+                                          kind, message):
+        bad = tmp_path / "m.ckpt"
+        if kind == "directory":
+            bad.mkdir()
+        out = tmp_path / "out"
+        rc = main({
+            "eval": ["eval", "--ckpt", str(bad), "--scene-dir", str(scene_dir),
+                     "--held-out", "eth", "--report", str(out)],
+            "export-plot": ["export-plot", "--ckpt", str(bad), "--scene-dir",
+                            str(scene_dir), "--window-id", "eth:0", "--out", str(out)],
+        }[command])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning precedes the failure
     def test_diverging_train_exit_1(self, scene_dir, tmp_path, capsys):
         rc = main(
@@ -726,6 +771,40 @@ class TestConfigFile:
         assert f"{cfg}: unknown config key 'bogus-key'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_flag_equals_form_overrides_config(self, scene_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t-obs": 6, "t-pred": 4, "scene": "eth"}))
+        out = tmp_path / "graphs"
+        rc = main(
+            ["dump-graph", "--config", str(cfg), "--scene-dir", str(scene_dir),
+             "--t-pred=5", "--out", str(out)]
+        )
+        assert rc == 0
+        assert_graphs_cut(out, scene_dir, "eth", 6, 5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("history", None), ("clip-norm", None), ("epochs", [1]), ("scene-dir", {"a": 1}),
+    ])
+    def test_null_list_or_object_value_exit_2(self, scene_dir, tmp_path, monkeypatch,
+                                              capsys, key, value):
+        def work(*args, **kwargs):
+            raise AssertionError("work began before the config file was checked")
+
+        for name in ("load_scene_dir", "train"):
+            monkeypatch.setattr(cli_mod, name, work)
+        monkeypatch.chdir(tmp_path)  # where a null --history would be written as "None"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(
+            ["train", "--config", str(cfg), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--out", "m.ckpt", "--quiet"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key {key!r} needs a number, string or bool, "
+            f"got {json.dumps(value)}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("form", ["--conf", "--con="])
     def test_abbreviated_config_flag_exit_2(self, scene_dir, tmp_path, capsys, form):
         cfg = tmp_path / "cfg.json"
@@ -817,6 +896,26 @@ def test_bad_output_path_exit_2_before_work(scene_dir, ckpt, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_dump_graph_out_not_a_directory_exit_2_before_work(scene_dir, tmp_path, monkeypatch,
+                                                          capsys, under):
+    # dump-graph's --out is a directory it makes; the file-path checks above
+    # do not apply to it
+    def work(*args, **kwargs):
+        raise AssertionError("a scene was read before --out was checked")
+
+    monkeypatch.setattr(cli_mod.data_mod, "load_scene", work)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "graphs" if under else afile
+    rc = main(["dump-graph", "--scene-dir", str(scene_dir), "--scene", "eth",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out: not a directory: {afile}\n"
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text() == ""
+
+
 class TestSeedAndSamplesFlags:
     """Bad --seed/--samples/--t-obs/--t-pred/--stride exit 2 at parse time,
     naming the flag, before any scene is parsed or any model is trained."""
@@ -867,6 +966,19 @@ class TestSeedAndSamplesFlags:
         out = tmp_path / "out"
         err = self.exit_2(["--config", str(cfg)] + self.argv("train", out), capsys)
         assert "argument --seed: must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("override", [["--seed", "3"], ["--seed=3"]],
+                             ids=["separate", "equals"])
+    def test_invalid_config_seed_exit_2_however_overridden(self, tmp_path, capsys,
+                                                           override):
+        # config flags go right after the subcommand and are parsed as typed ones
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "out"
+        err = self.exit_2(["--config", str(cfg)] + self.argv("train", out) + override,
+                          capsys)
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,low", [
         (command, flag, low)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from crowdgnn.data import (
     MAX_COORDINATE,
+    InputError,
     RawTrack,
-    TrajectoryParseError,
     TrajectoryWindow,
     _scene_id_fault,
     leave_one_out_split,
@@ -32,7 +32,7 @@ class TestParse:
 
     def test_duplicate_record_rejected(self, tmp_path):
         p = write(tmp_path, "10 3 1.0 2.0\n10 3 1.5 2.5\n")
-        with pytest.raises(TrajectoryParseError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             parse_trajectory_file(p)
 
     def test_frame_stride_ten(self, tmp_path):
@@ -49,14 +49,14 @@ class TestParse:
     )
     def test_malformed_line_reports_lineno(self, tmp_path, line):
         p = write(tmp_path, f"0 1 0 0\n{line}\n")
-        with pytest.raises(TrajectoryParseError, match=":2"):
+        with pytest.raises(InputError, match=":2"):
             parse_trajectory_file(p)
 
     @pytest.mark.parametrize("x, y", [("1.7e308", "0"), ("0", "-1000000.5"), ("2e6", "3")])
     def test_coordinate_beyond_bound_reports_lineno(self, tmp_path, x, y):
         # finite, but near the float64 limit the model's sums overflow
         p = write(tmp_path, f"0 1 0 0\n10 1 {x} {y}\n")
-        with pytest.raises(TrajectoryParseError) as info:
+        with pytest.raises(InputError) as info:
             parse_trajectory_file(p)
         assert str(info.value) == (f"{p}:2: coordinate ({x}, {y}) is beyond "
                                    "1e+06 m in magnitude")
@@ -74,7 +74,7 @@ class TestParse:
 
     def test_wrong_field_count(self, tmp_path):
         p = write(tmp_path, "0 1 0\n")
-        with pytest.raises(TrajectoryParseError, match="4 fields"):
+        with pytest.raises(InputError, match="4 fields"):
             parse_trajectory_file(p)
 
     def test_empty_file_is_empty_list(self, tmp_path):
