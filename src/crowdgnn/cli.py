@@ -129,8 +129,12 @@ def _scene_dir(args) -> Path:
 
 
 def _check_out_paths(args, *flags: str) -> None:
-    """Refuse, before any work, an output file path that is a directory or
-    whose directory is missing: the file is written only once the work is done."""
+    """Refuse, before any work, an output file path that is a directory, whose
+    directory is missing, or that names the checkpoint or another output: the
+    file is written only once the work is done."""
+    taken = {}  # resolved path -> the flag that names it
+    if getattr(args, "ckpt", None) is not None:
+        taken[Path(args.ckpt).resolve()] = "--ckpt"
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
@@ -140,6 +144,9 @@ def _check_out_paths(args, *flags: str) -> None:
             raise InputError(f"{flag}: directory not found: {path.parent}")
         if path.is_dir():
             raise InputError(f"{flag}: is a directory: {path}")
+        other = taken.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise InputError(f"{flag}: names the same file as {other}: {path}")
 
 
 def _require_windows(windows: list, scene: str, t_total: int) -> list:
@@ -207,10 +214,10 @@ def cmd_dump_graph(args) -> int:
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():  # mkdir below would fail once the scene is cut
         raise InputError(f"--out: not a directory: {existing}")
+    cfg = _graph_cfg(args)
     windows = _load_scene(args, args.scene, args.t_obs, args.t_pred, stride=1)
     if args.window_id is not None:
         windows = [_find_window(windows, args.window_id)]
-    cfg = _graph_cfg(args)
     out.mkdir(parents=True, exist_ok=True)
     for w in windows:
         adjacency = graph_adjacency(w, cfg)
@@ -230,10 +237,10 @@ def cmd_dump_graph(args) -> int:
 
 def cmd_train(args) -> int:
     _check_out_paths(args, "--out", "--history")
-    _, split = _load_split(args)
     graph_cfg = _graph_cfg(args)
     train_cfg = _train_cfg(args)
     model_cfg = ModelConfig(t_obs=args.t_obs, t_pred=args.t_pred)
+    _, split = _load_split(args)
 
     def log(rec):
         print(
@@ -289,6 +296,8 @@ SWEEP_GRID = [("social-stgcnn-baseline", social_stgcnn_baseline_config())] + [
 
 def cmd_sweep(args) -> int:
     _check_out_paths(args, "--out")
+    train_cfg = _train_cfg(args)
+    model_cfg = ModelConfig(t_obs=args.t_obs, t_pred=args.t_pred)
     if not 0 < args.subsample <= 1:  # NaN too
         raise InputError(f"--subsample must be in (0, 1], got {args.subsample}")
     _, split = _load_split(args)
@@ -305,8 +314,6 @@ def cmd_sweep(args) -> int:
             train=sub(split.train), val=sub(split.val), test=sub(split.test),
             held_out_scene=split.held_out_scene,
         )
-    train_cfg = _train_cfg(args)
-    model_cfg = ModelConfig(t_obs=args.t_obs, t_pred=args.t_pred)
     rows = []
     for name, graph_cfg in SWEEP_GRID:
         params, _ = train(split, graph_cfg, train_cfg, model_cfg)
@@ -487,8 +494,8 @@ def _apply_config_file(commands: dict[str, _FlagParser], argv: list[str]) -> lis
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
-        else:
-            extra.extend([flag, str(value)])
+        else:  # one token, so a value such as "-scenes" is not read as a flag
+            extra.append(f"{flag}={value}")
     return rest[: j + 1] + extra + rest[j + 1 :]
 
 

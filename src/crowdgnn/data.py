@@ -31,7 +31,7 @@ class RawTrack(NamedTuple):
     y: float
 
 
-@dataclass
+@dataclass(eq=False)  # hashed and compared by identity, as a dict key
 class TrajectoryWindow:
     """One scene slice: N pedestrians present at every frame of the window,
     whose displacements are derived from the positions."""

@@ -413,12 +413,12 @@ def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters,
     """Windows stacked as one chunk -> (raw Gaussian channels [T_pred, R, 5],
     the stacked displacements [R, T_total, 2], each window's rows).
 
-    `kept` maps id(window) to that window's normalized graph under
-    `graph_cfg`, built earlier (see `train.kept_graphs`); the other
-    windows' graphs are built here, so one chunk may hold both kinds."""
+    `kept` maps a window to its normalized graph under `graph_cfg`, built
+    earlier (see `train.kept_graphs`); the other windows' graphs are built
+    here, so one chunk may hold both kinds."""
     disp, rows = stack_windows(windows)
     kept = kept or {}
-    graphs = [kept[id(w)] if id(w) in kept else build_graph_sequence(w, graph_cfg)
+    graphs = [kept[w] if w in kept else build_graph_sequence(w, graph_cfg)
               for w in windows]
     v = disp[:, : windows[0].t_obs].transpose(1, 0, 2)
     h = st_gcn_forward(v, graphs, params, rows)

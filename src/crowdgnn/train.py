@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, InputError
+from .data import DatasetSplit, InputError, TrajectoryWindow
 from .gaussian import constrain, mean_nll, nll
 from .graphs import GraphConfig, build_graph_sequence
 from .model import (
@@ -73,13 +73,13 @@ class EpochRecord:
     lr: float
 
 
-def kept_graphs(windows, graph_cfg: GraphConfig) -> dict[int, np.ndarray]:
+def kept_graphs(windows,
+                graph_cfg: GraphConfig) -> dict[TrajectoryWindow, np.ndarray]:
     """The normalized graphs under `graph_cfg` of the `windows` with at most
     KEPT_GRAPH_PEDESTRIANS pedestrians (the graph cap), read-only, keyed by
-    the window's id (the dataclass is unhashable and window ids can repeat);
-    the caller keeps the windows alive while it keeps the dict. The graph
-    cap is independent of the chunk cap: a window above it may still share a
-    chunk with smaller ones, and its graph is built by that chunk's forward.
+    the window itself (by identity: window ids can repeat). The graph cap is
+    independent of the chunk cap: a window above it may still share a chunk
+    with smaller ones, and its graph is built by that chunk's forward.
 
     `train()` builds them all before its first epoch. Built on first use
     instead, among the first epoch's dense-crowd temporaries, they left a
@@ -88,10 +88,10 @@ def kept_graphs(windows, graph_cfg: GraphConfig) -> dict[int, np.ndarray]:
     """
     kept = {}
     for w in windows:
-        if w.n_peds <= KEPT_GRAPH_PEDESTRIANS and id(w) not in kept:
+        if w.n_peds <= KEPT_GRAPH_PEDESTRIANS and w not in kept:
             a = build_graph_sequence(w, graph_cfg)
             a.flags.writeable = False  # shared by every epoch
-            kept[id(w)] = a
+            kept[w] = a
     return kept
 
 

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each prints a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The end-to-end pipeline
-criterion trains on generated synthetic scenes and takes a few minutes;
-everything else is fast.
+criterion trains on generated synthetic scenes through `sweep`; like the
+rest, it runs in the one test tier.
 """
 import csv
 import subprocess
@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from crowdgnn.data import DatasetSplit, TrajectoryWindow
 from crowdgnn.evaluate import ade, best_of_k, fde
@@ -211,7 +210,6 @@ def test_criterion_8_inference_latency(rng):
     report("criterion 8: inference latency", f"median {median_ms:.2f} ms")
 
 
-@pytest.mark.slow
 def test_criterion_9_end_to_end_subsample(tmp_path):
     start = time.perf_counter()
     scene_dir = tmp_path / "scenes"

@@ -8,6 +8,7 @@ import pytest
 import crowdgnn.cli as cli_mod
 from crowdgnn.cli import main
 from crowdgnn.data import load_scene, load_scene_dir
+from crowdgnn.evaluate import ade, best_of_k, fde
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
 from crowdgnn.model import ModelParameters
 from test_model import rewrite_header
@@ -616,6 +617,40 @@ class TestExportPlot:
                 assert float(r["x"]) == w.positions[i, t, 0]
                 assert float(r["y"]) == w.positions[i, t, 1]
 
+    def test_samples_are_best_of_k_samples(self, scene_dir, ckpt, tmp_path):
+        # export-plot draws its own samples; they must be the ones best_of_k
+        # and eval score
+        w = eth_windows(scene_dir)[5]  # not the first window of its eval chunk
+        out = tmp_path / "plot.csv"
+        rc = main(
+            ["export-plot", "--ckpt", str(ckpt), "--scene-dir", str(scene_dir),
+             "--window-id", w.window_id, "--samples", "20", "--seed", "3", "--out", str(out)]
+        )
+        assert rc == 0
+        preds = np.full((20, w.n_peds, w.t_pred, 2), np.nan)
+        truth = np.full((w.n_peds, w.t_pred, 2), np.nan)
+        for r in csv.DictReader(out.open()):
+            i, t = int(r["ped_id"]), int(r["frame"]) - w.t_obs
+            xy = (float(r["x"]), float(r["y"]))
+            if r["kind"] == "sample":
+                preds[int(r["sample_idx"]), i, t] = xy
+            elif r["kind"] == "truth" and t >= 0:
+                truth[i, t] = xy
+        assert np.array_equal(truth, w.future_positions())
+        ades, fdes = ade(preds, truth), fde(preds, truth)
+        best = int(np.argmin(ades))
+        params, graph_cfg, _ = cli_mod._load_checkpoint(ckpt)
+        assert (ades[best], fdes[best]) == best_of_k(w, graph_cfg, params, k=20, seed=3)
+        report = tmp_path / "r.json"
+        assert main(["eval", "--scene-dir", str(scene_dir), "--held-out", "eth",
+                     "--ckpt", str(ckpt), "--samples", "20", "--seed", "3",
+                     "--report", str(report)]) == 0
+        got = next(m for m in strict_json(report.read_text())["per_window"]
+                   if m["window_id"] == w.window_id)
+        # eval runs the window's forward in a chunk with others
+        np.testing.assert_allclose([got["ade"], got["fde"]], [ades[best], fdes[best]],
+                                   rtol=1e-12, atol=0)
+
     def test_samples_zero_boundary(self, scene_dir, ckpt, tmp_path):
         out = tmp_path / "plot0.csv"
         rc = main(
@@ -782,6 +817,19 @@ class TestConfigFile:
         assert rc == 0
         assert_graphs_cut(out, scene_dir, "eth", 6, 5)
 
+    def test_value_starting_with_dash(self, scene_dir, tmp_path, monkeypatch):
+        # "-scenes" is spliced in as one "--scene-dir=-scenes" token, as the
+        # command line would spell it; as two tokens argparse takes it for a flag
+        shutil.copytree(scene_dir, tmp_path / "-scenes")
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene-dir": "-scenes", "t-obs": 6}))
+        out = tmp_path / "graphs"
+        rc = main(["dump-graph", "--config", str(cfg), "--scene", "zara01",
+                   "--out", str(out)])
+        assert rc == 0
+        assert_graphs_cut(out, scene_dir, "zara01", 6, 12)
+
     @pytest.mark.parametrize("key, value", [
         ("history", None), ("clip-norm", None), ("epochs", [1]), ("scene-dir", {"a": 1}),
     ])
@@ -894,6 +942,63 @@ def test_bad_output_path_exit_2_before_work(scene_dir, ckpt, tmp_path, monkeypat
     assert capsys.readouterr().err == (f"error: {flag}: is a directory: {bad}\n" if directory
                                        else f"error: {flag}: directory not found: {bad.parent}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--epochs", "0"], "epochs must be >= 1"),
+    (["train", "--batch", "0"], "batch_size must be >= 1"),
+    (["train", "--lr-after", "1"],
+     "require finite 0 < lr_after <= lr_initial, got lr_after=1.0, lr_initial=0.01"),
+    (["train", "--epsilon", "-1"], "epsilon must be a positive number, got -1.0"),
+    (["sweep", "--epochs", "0"], "epochs must be >= 1"),
+    (["dump-graph", "--epsilon", "-1"], "epsilon must be a positive number, got -1.0"),
+], ids=["train-epochs", "train-batch", "train-lr-after", "train-epsilon", "sweep-epochs",
+        "dump-graph-epsilon"])
+def test_bad_config_flag_exit_2_before_any_file_is_read(scene_dir, tmp_path, monkeypatch,
+                                                        capsys, argv, message):
+    def work(*args, **kwargs):
+        raise AssertionError("a scene file was read before the flags were checked")
+
+    monkeypatch.setattr(cli_mod, "load_scene_dir", work)
+    monkeypatch.setattr(cli_mod.data_mod, "load_scene", work)
+    command, *flags = argv
+    where = {"dump-graph": ["--scene", "eth"]}.get(command, ["--held-out", "eth"])
+    out = tmp_path / "out"
+    rc = main([command, "--scene-dir", str(scene_dir), *where, *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("eval", ["--report", "{ckpt}"]),
+    ("train", ["--out", "{ckpt}", "--history", "{ckpt}"]),
+    ("export-plot", ["--out", "{ckpt}"]),
+], ids=["eval-report", "train-history", "export-plot-out"])
+def test_output_naming_the_checkpoint_exit_2(scene_dir, ckpt, tmp_path, monkeypatch,
+                                             capsys, command, flags):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for name in ("train", "evaluate", "predict_gaussians"):
+        monkeypatch.setattr(cli_mod, name, work)
+    # the same file, spelled as another path to it
+    copy = tmp_path / "m.ckpt"
+    shutil.copyfile(ckpt, copy)
+    monkeypatch.chdir(tmp_path)
+    flags = [tok.format(ckpt=f"../{tmp_path.name}/m.ckpt") for tok in flags]
+    data = ["--scene-dir", str(scene_dir)]
+    argv = {
+        "eval": ["eval", *data, "--ckpt", str(copy), "--held-out", "eth"],
+        "train": ["train", *data, "--held-out", "eth", "--epochs", "1"],
+        "export-plot": ["export-plot", *data, "--ckpt", str(copy), "--window-id", "eth:0"],
+    }[command]
+    assert main([*argv, *flags]) == 2
+    first, second = ("--out", "--history") if command == "train" else ("--ckpt", flags[0])
+    assert capsys.readouterr().err == (
+        f"error: {second}: names the same file as {first}: {flags[-1]}\n")
+    assert copy.read_bytes() == ckpt.read_bytes()
+    assert list(tmp_path.iterdir()) == [copy]
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
