@@ -17,9 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import DatasetSplit, InputError, leave_one_out_split, load_scene_dir
-from .evaluate import (
-    PredictionDiverged, evaluate, predict_gaussians, sample_generators, sample_trajectory,
-)
+from .evaluate import PredictionDiverged, draw_samples, evaluate, predict_gaussians
 from .graphs import (
     ApproachSense,
     GraphConfig,
@@ -130,11 +128,14 @@ def _scene_dir(args) -> Path:
 
 def _check_out_paths(args, *flags: str) -> None:
     """Refuse, before any work, an output file path that is a directory, whose
-    directory is missing, or that names the checkpoint or another output: the
-    file is written only once the work is done."""
+    directory is missing, that names the checkpoint or another output, or that
+    names a scene file, or a `.txt` file in the scene directory, which the next
+    run would read as a scene: the file is written only once the work is done."""
     taken = {}  # resolved path -> the flag that names it
     if getattr(args, "ckpt", None) is not None:
         taken[Path(args.ckpt).resolve()] = "--ckpt"
+    scene_dir = Path(args.scene_dir).resolve() if args.scene_dir else None
+    scene_files = {f.resolve() for f in scene_dir.glob("*.txt")} if scene_dir else set()
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
@@ -144,7 +145,11 @@ def _check_out_paths(args, *flags: str) -> None:
             raise InputError(f"{flag}: directory not found: {path.parent}")
         if path.is_dir():
             raise InputError(f"{flag}: is a directory: {path}")
-        other = taken.setdefault(path.resolve(), flag)
+        resolved = path.resolve()
+        if resolved in scene_files or (path.parent.resolve() == scene_dir
+                                       and path.name.endswith(".txt")):
+            raise InputError(f"{flag}: names a scene file in the scene directory: {path}")
+        other = taken.setdefault(resolved, flag)
         if other != flag:
             raise InputError(f"{flag}: names the same file as {other}: {path}")
 
@@ -346,11 +351,8 @@ def cmd_export_plot(args) -> int:
             kind = "observed" if t < w.t_obs else "truth"
             rows.append((i, t, kind, -1, w.positions[i, t, 0], w.positions[i, t, 1]))
     if args.samples > 0:
-        g = predict_gaussians(w, graph_cfg, params)
-        preds = sample_trajectory(
-            g, w.positions[:, w.t_obs - 1],
-            sample_generators(args.seed, w.window_id, args.samples),
-        )
+        preds = draw_samples(w, predict_gaussians(w, graph_cfg, params), args.samples,
+                             args.seed)
         if not np.all(np.isfinite(preds)):
             raise PredictionDiverged(f"window {w.window_id}: non-finite trajectory sample")
         for s, pred in enumerate(preds):

@@ -72,17 +72,11 @@ def _mean_error(pred: np.ndarray, truth: np.ndarray, steps: slice):
 
 
 def _gaussians(raw: np.ndarray, window: TrajectoryWindow) -> GaussianParams:
-    """One window's raw channels [T_pred, N, 5] -> its Gaussians [N, T_pred]."""
+    """One window's raw channels [N, T_pred, 5] -> its Gaussians [N, T_pred]."""
     try:
-        mu, sigma, rho = constrain(raw)
+        return GaussianParams(*constrain(raw))
     except ValueError as exc:
         raise PredictionDiverged(f"window {window.window_id}: {exc}") from exc
-    # [T_pred, N, ...] -> [N, T_pred, ...]
-    return GaussianParams(
-        mu=mu.transpose(1, 0, 2),
-        sigma=sigma.transpose(1, 0, 2),
-        rho=rho.T,
-    )
 
 
 def predict_gaussians(
@@ -168,14 +162,21 @@ def sample_generators(seed: int, window_id: str, k: int) -> list[np.random.Gener
     return [np.random.Generator(PCG64(_SeedWords(row))) for row in state]
 
 
+def draw_samples(window: TrajectoryWindow, g: GaussianParams, k: int,
+                 seed: int) -> np.ndarray:
+    """k trajectory samples [k, N, T_pred, 2] of `window` from its Gaussians
+    `g`, drawn from the window's own generators (`sample_generators`)."""
+    return sample_trajectory(g, window.positions[:, window.t_obs - 1],
+                             sample_generators(seed, window.window_id, k))
+
+
 def _score(window, g: GaussianParams, k: int, seed: int,
            independent_min: bool) -> tuple[float, float]:
     """Draw k trajectory samples from `g`; the ADE-best sample's (ade, fde),
     or with `independent_min` the minimum of each over the samples; both
     finite, or PredictionDiverged names the window."""
     truth = window.future_positions()
-    last_obs = window.positions[:, window.t_obs - 1]
-    preds = sample_trajectory(g, last_obs, sample_generators(seed, window.window_id, k))
+    preds = draw_samples(window, g, k, seed)
     ades, fdes = ade(preds, truth), fde(preds, truth)
     best = int(np.argmin(ades))
     a, f = (ades.min(), fdes.min()) if independent_min else (ades[best], fdes[best])
@@ -224,7 +225,7 @@ def evaluate(
         # raises a 200-pedestrian window's heap peak above best_of_k's
         raw = raw.data
         for w, r in zip(chunk, rows):
-            a, f = _score(w, _gaussians(raw[:, r], w), k, seed, independent_min)
+            a, f = _score(w, _gaussians(raw[r], w), k, seed, independent_min)
             per_window.append(WindowMetrics(w.window_id, a, f))
         del raw
     ade_mean = float(np.mean([m.ade for m in per_window])) if per_window else float("nan")

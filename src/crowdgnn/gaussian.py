@@ -59,7 +59,7 @@ def nll(
 
 
 def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
-    """Per-window mean of `nll` over raw [..., R, 5], as one tape node.
+    """Per-window mean of `nll` over raw [R, ..., 5], as one tape node.
 
     `rows` are the windows' slices of the pedestrian axis R; by default one
     window holds every point. Returns the node, whose value is the sum of
@@ -78,7 +78,7 @@ def mean_nll(raw: Var, target: np.ndarray, rows=None) -> tuple[Var, np.ndarray]:
     target = np.asarray(target)
     mu, sigma, rho = constrain(raw.data)
     per_point = nll(target, mu, sigma, rho)
-    windows = [Ellipsis] if rows is None else [(..., r) for r in rows]
+    windows = [Ellipsis] if rows is None else rows
     weight = np.zeros_like(per_point)
     means = np.empty(len(windows))
     for i, idx in enumerate(windows):

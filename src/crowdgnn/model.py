@@ -1,9 +1,11 @@
 """Network blocks: spatio-temporal graph convolution + time-extrapolator CNN.
 
-Shapes follow [time, pedestrians, channels]. The ST-GCN mixes node features
-per frame with the normalized graph matrix, then convolves across observed
-frames. The TXP stack treats the time axis as channels and convolves over
-the (pedestrian, feature) plane, mapping T_obs frames to T_pred frames.
+Activations are [pedestrians, time, channels], the layout of a window's
+displacements. The ST-GCN mixes node features per frame with the normalized
+graph matrix, then convolves across observed frames. The TXP stack treats
+the time axis as channels and convolves over the (pedestrian, feature)
+plane, mapping T_obs frames to T_pred frames. Both convolve with
+`_plane_conv`.
 
 Several windows run as one chunk of at most CHUNK_PEDESTRIANS pedestrians:
 their pedestrians are stacked along the pedestrian axis with one zero gap
@@ -42,7 +44,7 @@ PRELU_INIT = 0.25
 
 # the chunk cap: most pedestrians stacked in one chunk (see `chunks`), in
 # training and evaluation alike. A chunk's tape (activations, conv inputs,
-# graph matrices; about 9.5 kB per stacked row of one 32-pedestrian window,
+# graph matrices; about 9.0 kB per stacked row of one 32-pedestrian window,
 # as much after its backward) lives until the caller drops its output;
 # training keeps one through the next chunk's forward, so two are alive at
 # once and the cap bounds memory. Each chunk costs a fixed number of numpy
@@ -242,10 +244,10 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def _plane_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, gaps=()) -> np.ndarray:
-    """2D conv over the leading (R, F) plane with time-as-channels.
+    """2D conv over the leading plane of x, its last axis the channels.
 
-    x: [R, F, C_in], w: [C_out, C_in, k, k], b: [C_out]; zero padding k//2.
-    The output rows `gaps` (pedestrian indices) are zero.
+    x: [R, W, C_in], w: [C_out, C_in, kh, kw], b: [C_out]; zero padding
+    k//2 per axis. The output rows `gaps` (pedestrian indices) are zero.
     """
     y = _columns(x, *w.shape[2:]) @ w.transpose(2, 3, 1, 0).reshape(-1, len(w))
     y = y.reshape(*x.shape[:2], len(w))
@@ -274,20 +276,20 @@ def _plane_conv_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, gaps=()):
 
 
 def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) -> Var:
-    """v: [T_obs, R, C_in] -> [T_obs, R, C], one tape op.
+    """v: [R, T_obs, C_in] -> [R, T_obs, C], one tape op.
 
     `graphs` holds each window's normalized [T_obs, n, n] matrix and `rows`
     its slice of the pedestrian axis; by default one window fills v. Graph
-    mixing runs per window, then PReLU, the (K x 1) conv over the (T, R)
-    plane with C as channels and the residual projection run once.
+    mixing runs per window, then PReLU, the (1 x K) plane conv over (R, T)
+    with C as channels and the residual projection run once.
     Rows outside every window (the gaps) are zero. `v` and the graphs are
     constants: the backward reaches only the seven stgcn.* parameters.
     """
     if rows is None:
-        graphs, rows = [graphs], [slice(0, v.shape[1])]
+        graphs, rows = [graphs], [slice(0, len(v))]
     for a, r in zip(graphs, rows):
         n = r.stop - r.start
-        if a.shape != (v.shape[0], n, n):
+        if a.shape != (v.shape[1], n, n):
             raise ValueError(
                 f"shape mismatch: features {v.shape} rows {r} vs graphs {a.shape}"
             )
@@ -297,48 +299,39 @@ def st_gcn_forward(v: np.ndarray, graphs, params: ModelParameters, rows=None) ->
     wr, br = params["stgcn.w_residual"], params["stgcn.b_residual"]
     slope = params["stgcn.prelu"]
     u = v @ ws.data + bs.data
-    pre = np.empty_like(u)
-    for a, r in zip(graphs, rows):
-        np.matmul(a, u[:, r], out=pre[:, r])
-    if gaps:
-        pre[:, gaps] = 0.0
+    pre = np.zeros_like(u)  # the gap rows stay zero
+    for a, r in zip(graphs, rows):  # per frame: [n, n] @ [n, C]
+        np.matmul(a, u[r].swapaxes(0, 1), out=pre[r].swapaxes(0, 1))
     pos = pre > 0
     act = np.where(pos, pre, slope.data * pre)
-    # w_temporal [K, C_in, C_out] is already in the columns' (k, c) row order
-    kt, c_in, c = wt.data.shape
-    cols = _columns(act, kt, 1)
-    y = (cols @ wt.data.reshape(-1, c)).reshape(act.shape)
-    y = y + bt.data + (v @ wr.data + br.data)
-    if gaps:
-        y[:, gaps] = 0.0
+    # w_temporal [K, C_in, C_out] as a [C_out, C_in, 1, K] plane kernel
+    w = wt.data.transpose(2, 1, 0)[:, :, None]
+    y = _plane_conv(act, w, bt.data)
+    y += v @ wr.data + br.data
+    y[gaps] = 0.0
 
     def bw(g):
-        if gaps:
-            g[:, gaps] = 0.0
-        vt = np.swapaxes(v, -1, -2)
-        gb = g.sum(axis=(0, 1))
+        gact, gw, gb = _plane_conv_backward(g, act, w, gaps)
+        c_in, c = wr.data.shape
+        vt = v.reshape(-1, c_in).T
         br.grad += gb
-        wr.grad += (vt @ g).sum(axis=0)
+        wr.grad += vt @ g.reshape(-1, c)
         bt.grad += gb
-        wt.grad += (cols.T @ g.reshape(-1, c)).reshape(kt, c_in, c)
-        # the same conv of g with the kernel flipped in time, C_in <-> C_out
-        flipped = wt.data[::-1].swapaxes(1, 2).reshape(-1, c_in)
-        gact = (_columns(g, kt, 1) @ flipped).reshape(g.shape)
+        wt.grad += gw[:, :, 0].transpose(2, 1, 0)
         slope.grad += np.sum(gact * np.where(pos, 0.0, pre))
         gpre = gact * np.where(pos, 1.0, slope.data)
-        gmix = np.empty_like(gpre)
+        gmix = np.zeros_like(gpre)
         for a, r in zip(graphs, rows):
-            np.matmul(np.swapaxes(a, -1, -2), gpre[:, r], out=gmix[:, r])
-        if gaps:
-            gmix[:, gaps] = 0.0
+            np.matmul(a.swapaxes(1, 2), gpre[r].swapaxes(0, 1),
+                      out=gmix[r].swapaxes(0, 1))
         bs.grad += gmix.sum(axis=(0, 1))
-        ws.grad += (vt @ gmix).sum(axis=0)
+        ws.grad += vt @ gmix.reshape(-1, c)
 
     return Var(y, None, bw)
 
 
 def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
-    """h: [T_obs, R, C] -> [T_pred, R, C], time axis treated as channels, one
+    """h: [R, T_obs, C] -> [R, T_pred, C], time axis treated as channels, one
     tape op: PReLU plane convs, each but the first summed with its input,
     then the linear readout conv, every conv zero in the pedestrian rows
     `gaps`. The backward runs them in reverse to h and the txp.* parameters.
@@ -346,10 +339,10 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
     then time as the channel axis, so each im2col run is whole channel vectors.
     """
     t_obs = params.cfg.t_obs
-    if h.data.shape[0] != t_obs:
-        raise ValueError(f"expected {t_obs} observed frames, got {h.data.shape[0]}")
+    if h.data.shape[1] != t_obs:
+        raise ValueError(f"expected {t_obs} observed frames, got {h.data.shape[1]}")
     layers = []  # per PReLU conv: parameters, input, pre-activation
-    x = h.data.transpose(1, 2, 0)
+    x = h.data.transpose(0, 2, 1)
     for i in range(TXP_LAYERS):
         w, b, slope = (params[f"txp.{i}.{k}"] for k in ("w", "b", "prelu"))
         pre = _plane_conv(x, w.data, b.data, gaps)
@@ -361,7 +354,7 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
 
     def bw(g):
         # x: the readout's input
-        gx, gw, gb = _plane_conv_backward(g.transpose(1, 2, 0), x, wo.data, gaps)
+        gx, gw, gb = _plane_conv_backward(g.transpose(0, 2, 1), x, wo.data, gaps)
         wo.grad += gw
         bo.grad += gb
         for i in reversed(range(TXP_LAYERS)):
@@ -375,9 +368,9 @@ def txp_forward(h: Var, params: ModelParameters, gaps=()) -> Var:
             b.grad += gb
             gx = gin if i == 0 else gx + gin  # the residual passes gx through
         # C-contiguous: the ST-GCN backward's sums follow the memory order
-        return np.ascontiguousarray(gx.transpose(2, 0, 1))
+        return np.ascontiguousarray(gx.transpose(0, 2, 1))
 
-    return Var(out.transpose(2, 0, 1), h, bw)
+    return Var(out.transpose(0, 2, 1), h, bw)
 
 
 def chunks(windows, cap: int = CHUNK_PEDESTRIANS):
@@ -410,7 +403,7 @@ def stack_windows(windows) -> tuple[np.ndarray, list[slice]]:
 
 def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters,
                   kept: dict | None = None):
-    """Windows stacked as one chunk -> (raw Gaussian channels [T_pred, R, 5],
+    """Windows stacked as one chunk -> (raw Gaussian channels [R, T_pred, 5],
     the stacked displacements [R, T_total, 2], each window's rows).
 
     `kept` maps a window to its normalized graph under `graph_cfg`, built
@@ -420,11 +413,10 @@ def forward_chunk(windows, graph_cfg: GraphConfig, params: ModelParameters,
     kept = kept or {}
     graphs = [kept[w] if w in kept else build_graph_sequence(w, graph_cfg)
               for w in windows]
-    v = disp[:, : windows[0].t_obs].transpose(1, 0, 2)
-    h = st_gcn_forward(v, graphs, params, rows)
+    h = st_gcn_forward(disp[:, : windows[0].t_obs], graphs, params, rows)
     return txp_forward(h, params, [r.stop for r in rows[:-1]]), disp, rows
 
 
 def forward_raw(window, graph_cfg: GraphConfig, params: ModelParameters) -> Var:
-    """Window -> raw Gaussian channels [T_pred, N, 5]: a one-window chunk."""
+    """Window -> raw Gaussian channels [N, T_pred, 5]: a one-window chunk."""
     return forward_chunk([window], graph_cfg, params)[0]

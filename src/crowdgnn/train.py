@@ -103,15 +103,15 @@ def chunk_nll(windows, graph_cfg: GraphConfig, params: ModelParameters,
     `kept` holds graphs from `kept_graphs`. A non-finite raw output or mean
     NLL raises ValueError naming the first window that has one."""
     raw, disp, rows = forward_chunk(windows, graph_cfg, params, kept)
-    target = disp[:, windows[0].t_obs :].transpose(1, 0, 2)  # [T_pred, R, 2]
+    target = disp[:, windows[0].t_obs :]
     try:
         loss, means = mean_nll(raw, target, rows)
     except ValueError as exc:  # constrain found a non-finite raw value
         for w, r in zip(windows, rows):
-            part = raw.data[:, r]
+            part = raw.data[r]
             if not np.all(np.isfinite(part)):
                 raise ValueError(f"window {w.window_id}: {exc}") from exc
-            if not np.isfinite(nll(target[:, r], *constrain(part)).sum()):
+            if not np.isfinite(nll(target[r], *constrain(part)).sum()):
                 raise ValueError(f"window {w.window_id}: non-finite NLL") from exc
         raise
     for w, m in zip(windows, means):

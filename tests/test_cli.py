@@ -1001,6 +1001,51 @@ def test_output_naming_the_checkpoint_exit_2(scene_dir, ckpt, tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == [copy]
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--history"), ("eval", "--report"), ("sweep", "--out"),
+    ("export-plot", "--out"),
+])
+def test_output_naming_a_scene_file_exit_2(scene_dir, ckpt, tmp_path, monkeypatch, capsys,
+                                           command, flag):
+    # a .txt output in the scene directory would be read as a scene by the
+    # next run: an existing scene file, a scene file's symlink target, or a
+    # new file spelled through another path, with the scene directory from
+    # CROWDGNN_DATA_DIR
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for name in ("train", "evaluate", "predict_gaussians"):
+        monkeypatch.setattr(cli_mod, name, work)
+    scenes, target = tmp_path / "sc", tmp_path / "data" / "hotel.txt"
+    shutil.copytree(scene_dir, scenes)
+    target.parent.mkdir()
+    (scenes / "hotel.txt").rename(target)
+    (scenes / "hotel.txt").symlink_to(target)
+    before = {p.name: p.read_bytes() for p in scenes.iterdir()}
+    argv = {
+        "train": ["train", "--held-out", "eth", "--epochs", "1",
+                  "--out", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")],
+        "eval": ["eval", "--ckpt", str(ckpt), "--held-out", "eth",
+                 "--report", str(tmp_path / "r.json")],
+        "sweep": ["sweep", "--held-out", "eth", "--epochs", "1",
+                  "--out", str(tmp_path / "s.csv")],
+        "export-plot": ["export-plot", "--ckpt", str(ckpt), "--window-id", "eth:0",
+                        "--out", str(tmp_path / "p.csv")],
+    }[command]
+    monkeypatch.delenv("CROWDGNN_DATA_DIR", raising=False)
+    for bad, data in ((scenes / "eth.txt", ["--scene-dir", str(scenes)]),
+                      (target, ["--scene-dir", str(scenes)]),
+                      (scenes / ".." / "sc" / "new.txt", [])):
+        if not data:
+            monkeypatch.setenv("CROWDGNN_DATA_DIR", str(scenes))
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv + data) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: names a scene file in the scene directory: {bad}\n")
+        assert {p.name: p.read_bytes() for p in scenes.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "sc"]
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
 def test_dump_graph_out_not_a_directory_exit_2_before_work(scene_dir, tmp_path, monkeypatch,
                                                           capsys, under):

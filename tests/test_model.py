@@ -238,12 +238,13 @@ def test_txp_backward_matches_oracle(rng, n, gaps):
     x = rng.normal(size=(8, n, GAUSSIAN_CHANNELS))
     x[:, gaps] = 0.0  # as the ST-GCN layer leaves them
     u = rng.normal(size=(12, n, GAUSSIAN_CHANNELS))
-    h, grads = input_node(x.copy())
+    # the oracle is time-major, txp_forward pedestrian-major
+    h, grads = input_node(x.transpose(1, 0, 2).copy())
     out = txp_forward(h, p, gaps)
-    weighted_sum(out, u).backward()
+    weighted_sum(out, u.transpose(1, 0, 2)).backward()
     want_out, want = txp_vjp_oracle(x, p, u, gaps)
-    assert_rel_close(out.data, want_out)
-    assert_rel_close(grads[0], want.pop("h"))
+    assert_rel_close(out.data.transpose(1, 0, 2), want_out)
+    assert_rel_close(grads[0].transpose(1, 0, 2), want.pop("h"))
     assert grads[0].flags.c_contiguous  # the ST-GCN backward sums in memory order
     assert sorted(want) == sorted(name for name, _ in p.items() if name.startswith("txp."))
     assert len(want) == 17
@@ -253,18 +254,39 @@ def test_txp_backward_matches_oracle(rng, n, gaps):
     assert all(not t.grad.any() for name, t in p.items() if name.startswith("stgcn."))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 24])
-def test_stgcn_backward_matches_loop_oracle(rng, n):
+@pytest.mark.parametrize("sizes", [(1,), (2,), (5,), (24,), (5, 2, 17)],
+                         ids=["1", "2", "5", "24", "stgcn-chunk"])
+def test_stgcn_backward_matches_loop_oracle(rng, sizes):
+    # the last case is a stacked chunk of 5, 2 and 17 pedestrians: each
+    # window's rows match its oracle, the two gap rows are zero, and the
+    # gradients sum the windows' VJPs though u is nonzero in the gap rows
     p = small_params()
-    v = rng.normal(size=(8, n, IN_FEATURES))
-    normalized = rng.normal(size=(8, n, n))  # asymmetric: the transpose matters
-    u = rng.normal(size=(8, n, GAUSSIAN_CHANNELS))
-    out = st_gcn_forward(v, normalized, p)
-    assert_rel_close(out.data, stgcn_oracle(v, normalized, p))
-    weighted_sum(out, u).backward()
-    for name, want in stgcn_vjp_oracle(v, normalized, p, u).items():
-        assert p[name].grad.shape == want.shape
-        assert_rel_close(p[name].grad, want)
+    rows, start = [], 0
+    for n in sizes:  # one gap row between neighbours
+        rows.append(slice(start, start + n))
+        start += n + 1
+    gaps = [r.stop for r in rows[:-1]]
+    v = rng.normal(size=(8, rows[-1].stop, IN_FEATURES))
+    v[:, gaps] = 0.0  # as stack_windows leaves them
+    # asymmetric: the transpose matters
+    graphs = [rng.normal(size=(8, n, n)) for n in sizes]
+    u = rng.normal(size=(8, rows[-1].stop, GAUSSIAN_CHANNELS))
+    # the oracles are time-major, st_gcn_forward pedestrian-major
+    if len(sizes) == 1:
+        out = st_gcn_forward(v.transpose(1, 0, 2), graphs[0], p)
+    else:
+        out = st_gcn_forward(v.transpose(1, 0, 2), graphs, p, rows)
+    assert np.all(out.data[gaps] == 0.0)
+    weighted_sum(out, u.transpose(1, 0, 2)).backward()
+    want = {name: 0.0 for name, _ in p.items() if name.startswith("stgcn.")}
+    for a, r in zip(graphs, rows):
+        assert_rel_close(out.data[r].transpose(1, 0, 2), stgcn_oracle(v[:, r], a, p))
+        for name, g in stgcn_vjp_oracle(v[:, r], a, p, u[:, r]).items():
+            want[name] = want[name] + g
+    assert len(want) == 7
+    for name, g in want.items():
+        assert p[name].grad.shape == g.shape
+        assert_rel_close(p[name].grad, g)
     assert all(not t.grad.any() for name, t in p.items() if name.startswith("txp."))
 
 
@@ -288,11 +310,11 @@ def assert_columns_exact(x, kh, kw):
 def test_columns_bitwise_equal_oracle(rng, n):
     t_obs, t_pred, c, k = 8, 12, GAUSSIAN_CHANNELS, TXP_KERNEL
     # the TXP plane convs: [N, F, T] with time as channels, k x k kernels; the
-    # first one reads a transposed view of the ST-GCN's [T, N, F] output
-    assert_columns_exact(rng.normal(size=(t_obs, n, c)).transpose(1, 2, 0), k, k)
+    # first one reads a transposed view of the ST-GCN's [N, T, F] output
+    assert_columns_exact(rng.normal(size=(n, t_obs, c)).transpose(0, 2, 1), k, k)
     assert_columns_exact(rng.normal(size=(n, c, t_pred)), k, k)
-    # the ST-GCN temporal conv: [T, N, C] with a K x 1 kernel
-    assert_columns_exact(rng.normal(size=(t_obs, n, c)), STGCN_TEMPORAL_KERNEL, 1)
+    # the ST-GCN temporal conv: [N, T, C] with a 1 x K kernel
+    assert_columns_exact(rng.normal(size=(n, t_obs, c)), 1, STGCN_TEMPORAL_KERNEL)
 
 
 @given(
@@ -319,12 +341,11 @@ def test_columns_bitwise_equal_oracle_in_a_stacked_chunk(rng, monkeypatch):
     loss.backward()
     rows = 5 + 2 + 17 + 2  # two gap rows
     kt, k = STGCN_TEMPORAL_KERNEL, TXP_KERNEL
-    stgcn = ((8, rows, GAUSSIAN_CHANNELS), kt, 1)
-    # the ST-GCN: forward, then the input gradient (its weight gradient reuses
-    # the forward's columns); each TXP conv: forward, then in the backward the
-    # input gradient's columns and the weight gradient's rebuilt ones
-    assert calls[0] == stgcn and calls[-1] == stgcn
-    txp = calls[1:-1]
+    stgcn = ((rows, 8, GAUSSIAN_CHANNELS), 1, kt)
+    # every conv, the ST-GCN's and each TXP one: forward, then in the backward
+    # the input gradient's columns and the weight gradient's rebuilt ones
+    assert calls[0] == stgcn and calls[-2:] == [stgcn, stgcn]
+    txp = calls[1:-2]
     assert len(txp) == 3 * (TXP_LAYERS + 1)
     assert all(x_shape[:2] == (rows, GAUSSIAN_CHANNELS) and (kh, kw) == (k, k)
                for x_shape, kh, kw in txp)
@@ -369,8 +390,8 @@ class TestStGcn:
         p["stgcn.prelu"].data[...] = 1.0
         v = np.random.default_rng(0).normal(size=(8, 1, IN_FEATURES))
         normalized = np.ones((8, 1, 1))  # self-loop identity normalization
-        out = st_gcn_forward(v, normalized, p)
-        assert np.allclose(out.data[..., :IN_FEATURES], v, atol=1e-12)
+        out = st_gcn_forward(v.transpose(1, 0, 2), normalized, p)
+        assert np.allclose(out.data[..., :IN_FEATURES], v.transpose(1, 0, 2), atol=1e-12)
         assert np.all(out.data[..., IN_FEATURES:] == 0.0)
 
     def test_zero_mixing_annihilates(self, rng):
@@ -378,21 +399,21 @@ class TestStGcn:
         for name in ("stgcn.b_temporal", "stgcn.w_residual", "stgcn.b_residual"):
             p[name].data[...] = 0.0
         v = rng.normal(size=(8, 3, 2))
-        out = st_gcn_forward(v, np.zeros((8, 3, 3)), p)
+        out = st_gcn_forward(v.transpose(1, 0, 2), np.zeros((8, 3, 3)), p)
         assert np.allclose(out.data, 0.0)
 
     def test_matches_triple_loop_oracle(self, rng):
         p = small_params()
         v = rng.normal(size=(8, 3, 2))
         normalized = rng.normal(size=(8, 3, 3))
-        got = st_gcn_forward(v, normalized, p).data
+        got = st_gcn_forward(v.transpose(1, 0, 2), normalized, p).data.transpose(1, 0, 2)
         want = stgcn_oracle(v, normalized, p)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_shape_mismatch_raises(self, rng):
         p = small_params()
         with pytest.raises(ValueError):
-            st_gcn_forward(rng.normal(size=(8, 3, 2)), np.zeros((8, 4, 4)), p)
+            st_gcn_forward(rng.normal(size=(3, 8, 2)), np.zeros((8, 4, 4)), p)
 
     def test_permutation_equivariance(self, rng):
         p = small_params()
@@ -400,12 +421,12 @@ class TestStGcn:
         normalized = rng.normal(size=(8, 5, 5))
         normalized = normalized + normalized.transpose(0, 2, 1)
         perm = rng.permutation(5)
-        out = st_gcn_forward(v, normalized, p).data
+        out = st_gcn_forward(v.transpose(1, 0, 2), normalized, p).data
         out_p = st_gcn_forward(
-            v[:, perm], normalized[:, perm][:, :, perm], p
+            v[:, perm].transpose(1, 0, 2), normalized[:, perm][:, :, perm], p
         ).data
         # equality up to summation-order rounding in the matrix products
-        assert np.allclose(out[:, perm], out_p, rtol=1e-13, atol=1e-13)
+        assert np.allclose(out[perm], out_p, rtol=1e-13, atol=1e-13)
 
     def test_forward_raw_depends_on_pedestrian_order(self, rng):
         # the graphs and the ST-GCN layer are permutation-equivariant, but
@@ -417,15 +438,15 @@ class TestStGcn:
         )
         out = forward_raw(w, GraphConfig(), small_params()).data
         out_p = forward_raw(pw, GraphConfig(), small_params()).data
-        change = np.max(np.abs(out_p - out[:, perm]))
+        change = np.max(np.abs(out_p - out[perm]))
         assert change > 0.1 * np.max(np.abs(out))
 
 
 class TestTxp:
     def test_zero_input_zero_biases(self):
         p = zero_params()
-        out = txp_forward(Var(np.zeros((8, 3, 5))), p)
-        assert out.data.shape == (12, 3, 5)
+        out = txp_forward(Var(np.zeros((3, 8, 5))), p)
+        assert out.data.shape == (3, 12, 5)
         assert np.allclose(out.data, 0.0)
 
     def test_first_layer_homogeneity(self, rng):
@@ -440,7 +461,7 @@ class TestTxp:
     def test_wrong_frame_count_raises(self, rng):
         p = small_params()
         with pytest.raises(ValueError):
-            txp_forward(Var(rng.normal(size=(9, 3, 5))), p)
+            txp_forward(Var(rng.normal(size=(3, 9, 5))), p)
 
 
 class TestSummary:
