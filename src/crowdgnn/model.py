@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from itertools import zip_longest
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ from .data import InputError
 from .graphs import GraphConfig, build_graph_sequence
 
 CHECKPOINT_MAGIC = b"CGNN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the header holds the payload's CRC32
 
 # the fixed architecture (Social-STGCNN): one ST-GCN layer, then a residual
 # stack of TXP_LAYERS plane convs and a linear readout conv
@@ -150,9 +151,11 @@ class ModelParameters:
 
     # ---- checkpoint IO ---------------------------------------------------
     # layout: magic, u32 header length, JSON header (format version, config,
-    # tensor table with offsets), then little-endian float64 payload
+    # tensor table with offsets, the payload's zlib CRC32), then
+    # little-endian float64 payload
 
     def save(self, path, extra_config: dict | None = None) -> None:
+        payload = self.theta.astype("<f8", copy=False).tobytes()
         header = {
             "format_version": CHECKPOINT_VERSION,
             "model_config": self.cfg.to_dict(),
@@ -160,19 +163,20 @@ class ModelParameters:
             "tensors": _tensor_table(
                 (name, v.data.shape) for name, v in self.tensors.items()
             ),
+            "payload_crc32": zlib.crc32(payload),
         }
         hbytes = json.dumps(header).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(hbytes)))
             fh.write(hbytes)
-            fh.write(self.theta.astype("<f8", copy=False).tobytes())
+            fh.write(payload)
 
     @classmethod
     def load(cls, path) -> tuple["ModelParameters", dict]:
         """Parameters and extra config of a checkpoint, checked against the
-        fixed architecture: the header's model_config holds exactly the
-        horizons t_obs and t_pred."""
+        fixed architecture (the header's model_config holds exactly the
+        horizons t_obs and t_pred) and the payload against its CRC32."""
         try:
             fh = open(path, "rb")
         except OSError as exc:  # e.g. a missing file or a directory
@@ -219,6 +223,8 @@ class ModelParameters:
                 f"{path}: payload holds {len(payload)} bytes, the tensor table "
                 f"needs {params.theta.nbytes}"
             )
+        if not _same(header.get("payload_crc32"), zlib.crc32(payload)):
+            raise InputError(f"{path}: checkpoint payload fails its CRC32")
         params.theta[...] = np.frombuffer(payload, dtype="<f8")
         for name, v in params.items():
             if not np.all(np.isfinite(v.data)):

@@ -10,7 +10,7 @@ from crowdgnn.cli import main
 from crowdgnn.data import load_scene, load_scene_dir
 from crowdgnn.evaluate import ade, best_of_k, fde
 from crowdgnn.graphs import GraphConfig, build_graph_sequence, graph_adjacency
-from crowdgnn.model import ModelParameters
+from crowdgnn.model import ModelConfig, ModelParameters
 from test_model import rewrite_header
 from test_smoke import strict_json
 
@@ -484,6 +484,26 @@ class TestTrainEval:
         )
         assert rc == 2
         assert f"error: {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["payload-byte", "header-crc"])
+    def test_corrupt_checkpoint_exit_2(self, scene_dir, ckpt, tmp_path, where, capsys):
+        # a flipped payload bit keeps the file's length and a finite value,
+        # so only the CRC32 can tell; so can an edited CRC field
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(ckpt.read_bytes())
+        if where == "payload-byte":
+            raw = bytearray(bad.read_bytes())
+            raw[-ModelParameters(ModelConfig()).theta.nbytes] ^= 1
+            bad.write_bytes(bytes(raw))
+        else:
+            rewrite_header(bad, lambda h: h.update(payload_crc32=h["payload_crc32"] ^ 1))
+        assert bad.stat().st_size == ckpt.stat().st_size
+        rc = main(
+            ["eval", "--ckpt", str(bad), "--scene-dir", str(scene_dir),
+             "--held-out", "eth", "--samples", "3", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: checkpoint payload fails its CRC32\n"
 
     def test_eval_reads_only_the_held_out_scene(self, scene_dir, ckpt, tmp_path):
         # a malformed file beside the scenes is not read, so the report is

@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import crowdgnn.model as model_mod
 
 from crowdgnn.autodiff import Var
-from crowdgnn.data import DatasetSplit, TrajectoryWindow
+from crowdgnn.data import DatasetSplit, InputError, TrajectoryWindow
 from crowdgnn.graphs import GraphConfig
 from crowdgnn.model import (
     CHECKPOINT_MAGIC,
@@ -633,6 +634,43 @@ class TestCheckpoint:
         rewrite_header(path, lambda h: h.update(tensors=h["tensors"][:-1]))
         with pytest.raises(ValueError, match="m.ckpt: tensor table entry None"):
             ModelParameters.load(path)
+
+
+class TestCheckpointCRC:
+    def test_payload_crc32_in_header(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_params().save(path)
+        header, payload = checkpoint_parts(path)
+        assert header["format_version"] == 2
+        assert header["payload_crc32"] == zlib.crc32(payload)
+
+    def test_version_1_is_unsupported(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_params().save(path)
+
+        def version_1(h):  # a version-1 header has no CRC field
+            h["format_version"] = 1
+            del h["payload_crc32"]
+        rewrite_header(path, version_1)
+        with pytest.raises(InputError) as info:
+            ModelParameters.load(path)
+        assert str(info.value) == f"{path}: unsupported checkpoint version 1"
+
+    @pytest.mark.parametrize("crc", ["missing", True, 1.5])
+    def test_bad_crc_field_rejected(self, tmp_path, crc):
+        # an edited CRC and a flipped payload bit: tests/test_cli.py
+        path = tmp_path / "m.ckpt"
+        small_params().save(path)
+
+        def mutate(h):
+            if crc == "missing":
+                del h["payload_crc32"]
+            else:
+                h["payload_crc32"] = crc
+        rewrite_header(path, mutate)
+        with pytest.raises(InputError) as info:
+            ModelParameters.load(path)
+        assert str(info.value) == f"{path}: checkpoint payload fails its CRC32"
 
 
 def rewrite_header(path, mutate):

@@ -364,14 +364,14 @@ class TestChunks:
             err = np.max(np.abs(got[name].grad - v.grad))
             assert err <= 1e-12 * np.max(np.abs(v.grad)), (name, err)
 
-    # README: a chunk's tape holds about 9.5 kB per stacked row, and train()
+    # model.py: a chunk's tape holds about 9.0 kB per stacked row, and train()
     # keeps two alive at once. A chunk of 64 pedestrians stacks at most 95
     # rows (32 two-pedestrian windows and their 31 gap rows), so two such
-    # tapes take 1.81 MB; the bound leaves 20% over that for the temporaries
+    # tapes take 1.71 MB; the bound leaves 20% over that for the temporaries
     # of one forward and backward, a graph built per forward among them. It
     # is fixed, not scaled by the cap: a larger cap fails here until its
     # memory is measured and this bound re-derived
-    PEAK_BYTES = int(1.2 * 2 * 95 * 9.5e3)
+    PEAK_BYTES = int(1.2 * 2 * 95 * 9.0e3)
 
     @pytest.mark.parametrize("sizes", [[2] * CHUNK_PEDESTRIANS, [CHUNK_PEDESTRIANS] * 2],
                              ids=["most-rows", "largest-graph"])
